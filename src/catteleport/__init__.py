@@ -14,7 +14,6 @@ from .dynamics import (
     ModeSystem,
     decoherence_Z,
     drain_params,
-    reference_amplitude,
     u_full,
     u_simplified,
 )
@@ -35,8 +34,6 @@ from .protocol import (
     apply_correction,
     dispersive_pi,
     displace_mode2,
-    measure_phase,
-    prepare_cat,
     ramsey_half_pulse,
     run_protocol,
 )

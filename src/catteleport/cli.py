@@ -10,12 +10,13 @@ import argparse
 import cmath
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig, default_config, load_config
-from .dynamics import ChiMode, drain_params, u_full, u_simplified
+from .dynamics import drain_params, u_full, u_simplified
 from .errors import (
     AmbiguousCluster,
     ConfigError,
@@ -28,6 +29,7 @@ from .fidelity import build_rho1, fidelity_at, fidelity_curve
 from .oracle import (
     FockDensity,
     LindbladSpec,
+    cat_state_vector,
     coherent_fidelity,
     coherent_to_fock,
     evolve_lindblad,
@@ -37,7 +39,6 @@ from .oracle import (
     required_n_max,
 )
 from .protocol import apply_correction, residual_fidelity, run_protocol, sample_outcomes
-from .states import CatSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,8 +68,6 @@ def _load(args) -> RunConfig:
     if getattr(args, "no_spectator_phase", False):
         overrides["spectator_phase_on"] = False
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     return cfg
 
@@ -137,20 +136,18 @@ def cmd_protocol(cfg: RunConfig, out, trials: int | None) -> int:
     return EXIT_OK
 
 
-def _curve(cfg: RunConfig, alpha: complex):
-    spec = CatSpec(cfg.protocol_config().c_plus, cfg.protocol_config().c_minus,
-                   alpha, cfg.parity)
-    ms = cfg.mode_system()
-    return fidelity_curve(spec, ms, cfg.t_max_s, cfg.n_points,
-                          spectator_phase=cfg.spectator_phase,
-                          rotating_frame=cfg.rotating_frame)
+def _curve(cfg: RunConfig):
+    """The configured cat and its analytic fidelity curve."""
+    spec = cfg.protocol_config().target
+    curve = fidelity_curve(spec, cfg.mode_system(), cfg.t_max_s, cfg.n_points,
+                           spectator_phase=cfg.spectator_phase,
+                           rotating_frame=cfg.rotating_frame)
+    return spec, curve
 
 
 def cmd_fidelity(cfg: RunConfig, out, with_oracle: bool) -> int:
-    curve = _curve(cfg, cfg.alpha)
-    pc = cfg.protocol_config()
-    spec = CatSpec(pc.c_plus, pc.c_minus, cfg.alpha, cfg.parity)
-    gbar = cfg.mode_system().mean_damping_rate
+    spec, curve = _curve(cfg)
+    ms = cfg.mode_system()
     header = ["t", "F_analytic"]
     if with_oracle:
         header += ["F_oracle", "abs_dF"]
@@ -158,7 +155,9 @@ def cmd_fidelity(cfg: RunConfig, out, with_oracle: bool) -> int:
     for t, f in zip(curve.times, curve.values):
         row = [float(t), float(f)]
         if with_oracle:
-            u11 = math.exp(-0.5 * gbar * float(t)) * cmath.exp(1j * cfg.spectator_phase)
+            # the u11 the analytic column was evaluated at, in the same frame
+            u = u_simplified(ms, float(t), rotating_frame=cfg.rotating_frame)
+            u11 = u.u11 * cmath.exp(1j * cfg.spectator_phase)
             rho = mixture_to_fock(build_rho1(spec, u11))
             f_or = oracle_fidelity(rho, spec)
             row += [f_or, abs(f_or - float(f))]
@@ -171,14 +170,12 @@ FIGURE2_ALPHAS = (0.5, 1.0, 1.5, 2.0)
 
 
 def cmd_figure2(cfg: RunConfig, out) -> int:
-    from dataclasses import replace
-
     # reference curves: plain decoherence at the reference damping rates,
     # no protocol phase offsets folded in
     cfg = replace(cfg, t_max_s=1.0e-3, n_points=200,
                   gamma11_inv_s=1.0e-3, gamma22_inv_s=0.9e-3,
                   spectator_phase_on=False)
-    curves = [_curve(cfg, a) for a in FIGURE2_ALPHAS]
+    curves = [_curve(replace(cfg, alpha_re=a, alpha_im=0.0))[1] for a in FIGURE2_ALPHAS]
     header = ["t"] + [f"F_alpha_{a}" for a in FIGURE2_ALPHAS]
     rows = []
     for i, t in enumerate(curves[0].times):
@@ -192,7 +189,10 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     gbar = ms.mean_damping_rate
     pc = cfg.protocol_config()
     alpha = cfg.alpha
-    spec = CatSpec(pc.c_plus, pc.c_minus, alpha, cfg.parity)
+    spec = pc.target
+    # Re P01/sqrt(P00 P11) of c+|a> + parity c-|-a> carries the sign of the
+    # cross term c+ conj(c-) parity (the config's coefficients are real)
+    z_sign = cfg.parity * math.copysign(1.0, pc.c_plus * pc.c_minus)
     n_max = required_n_max(alpha)
     dt_max = 1.0 / (50.0 * gbar)
     dims = (n_max + 1,)
@@ -206,8 +206,6 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
     ok = True
 
     rho_coh = FockDensity.from_vector(coherent_to_fock(alpha, n_max), dims)
-    from .oracle import cat_state_vector
-
     rho_cat = FockDensity.from_vector(cat_state_vector(spec, n_max), dims)
     for t in times:
         t = float(t)
@@ -221,7 +219,7 @@ def cmd_oracle_check(cfg: RunConfig, out) -> int:
         evolved_cat = evolve_lindblad(rho_cat, lspec, t, dt_max)
         z_oracle = extract_cat_coherence(evolved_cat, u11 * alpha)
         z_ana = math.exp(-2.0 * abs(alpha) ** 2 * (1.0 - u11 * u11))
-        rel = abs(z_oracle - z_ana) / z_ana
+        rel = abs(z_oracle - z_sign * z_ana) / z_ana
         ok &= rel <= 1e-4
         rows.append(["decoherence_Z", t, rel, 1e-4,
                      "pass" if rel <= 1e-4 else "fail"])

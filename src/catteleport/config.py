@@ -9,71 +9,44 @@ is built; damping is given as inverse rates in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
-from .dynamics import ChiMode, ModeSystem
-from .errors import ConfigError
-from .protocol import ProtocolConfig
+from .dynamics import ModeSystem
+from .errors import ConfigError, NullState
+from .protocol import DEFAULT_DELTA_HZ, DEFAULT_SMALL_DELTA_HZ
+from .protocol import ProtocolConfig, default_spectator_phase
+from .states import cat_norm
 
 TWO_PI = 2.0 * math.pi
-
-# key -> (type, default).  Unknown keys in a file are a hard error.
-_SCHEMA = {
-    "gamma11_inv_s": (float, 1.0e-3),
-    "gamma22_inv_s": (float, 0.9e-3),
-    "gamma12": (float, 0.0),
-    "gamma21": (float, 0.0),
-    "omega1_Hz": (float, 51.1e9),       # microwave-domain mode 1
-    "Delta_Hz": (float, 1.0e7),         # omega2 = omega1 + 2*pi*Delta
-    "delta_Hz": (float, 1.0e5),         # atom detuning from mode 1
-    "g_Hz": (float, 1.0e4),             # Rabi frequency
-    "lamb11_Hz": (float, 0.0),
-    "lamb22_Hz": (float, 0.0),
-    "lamb12_Hz": (float, 0.0),
-    "lamb21_Hz": (float, 0.0),
-    "alpha_re": (float, 1.0),
-    "alpha_im": (float, 0.0),
-    "beta_re": (float, 1.0),
-    "beta_im": (float, 0.0),
-    "c_plus": (float, 1.0 / math.sqrt(2.0)),
-    "c_minus": (float, 1.0 / math.sqrt(2.0)),
-    "parity": (int, 1),
-    "spectator_phase_on": (bool, True),
-    "seed": (int, 0),
-    "t_max_s": (float, 1.0e-3),
-    "n_points": (int, 200),
-    "t_tel_s": (float, 3.5e-4),
-    "frame": (str, "rotating"),
-}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    gamma11_inv_s: float
-    gamma22_inv_s: float
-    gamma12: float
-    gamma21: float
-    omega1_Hz: float
-    Delta_Hz: float
-    delta_Hz: float
-    g_Hz: float
-    lamb11_Hz: float
-    lamb22_Hz: float
-    lamb12_Hz: float
-    lamb21_Hz: float
-    alpha_re: float
-    alpha_im: float
-    beta_re: float
-    beta_im: float
-    c_plus: float
-    c_minus: float
-    parity: int
-    spectator_phase_on: bool
-    seed: int
-    t_max_s: float
-    n_points: int
-    t_tel_s: float
-    frame: str
+    """One field per config key; a key's type is the type of its default."""
+
+    gamma11_inv_s: float = 1.0e-3
+    gamma22_inv_s: float = 0.9e-3
+    gamma12: float = 0.0
+    gamma21: float = 0.0
+    omega1_Hz: float = 51.1e9                 # microwave-domain mode 1
+    Delta_Hz: float = DEFAULT_DELTA_HZ        # omega2 = omega1 + 2*pi*Delta
+    delta_Hz: float = DEFAULT_SMALL_DELTA_HZ  # atom detuning from mode 1
+    lamb11_Hz: float = 0.0
+    lamb22_Hz: float = 0.0
+    lamb12_Hz: float = 0.0
+    lamb21_Hz: float = 0.0
+    alpha_re: float = 1.0
+    alpha_im: float = 0.0
+    beta_re: float = 1.0
+    beta_im: float = 0.0
+    c_plus: float = 1.0 / math.sqrt(2.0)
+    c_minus: float = 1.0 / math.sqrt(2.0)
+    parity: int = 1
+    spectator_phase_on: bool = True
+    seed: int = 0
+    t_max_s: float = 1.0e-3
+    n_points: int = 200
+    frame: str = "rotating"
 
     def __post_init__(self):
         if self.frame not in ("rotating", "lab"):
@@ -82,14 +55,22 @@ class RunConfig:
             raise ConfigError("parity must be +1 or -1")
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
-        for key in ("gamma11_inv_s", "gamma22_inv_s", "t_max_s", "t_tel_s"):
+        for key in ("gamma11_inv_s", "gamma22_inv_s", "t_max_s"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"{key} must be positive")
+        if self.beta == 0:
+            raise ConfigError("beta_re and beta_im cannot both be 0: the mode-2 cat is then "
+                              "null (parity -1) or the vacuum, which gives no readout sign")
         try:
             self.mode_system()
-            self.protocol_config()
+            pc = self.protocol_config()
         except (ValueError, ConfigError) as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            cat_norm(pc.target)
+        except NullState:
+            raise ConfigError(f"alpha_re, alpha_im and parity = {self.parity} "
+                              "make the mode-1 cat the null vector") from None
 
     @property
     def alpha(self) -> complex:
@@ -105,15 +86,14 @@ class RunConfig:
 
     @property
     def spectator_phase(self) -> float:
-        """pi*delta/(Delta+delta): the phase the spectator mode picks up
-        during one dispersive pi interval (chi*tau = pi)."""
+        """The phase the spectator mode picks up during one dispersive pi
+        interval at the configured detunings; 0 when switched off."""
         if not self.spectator_phase_on:
             return 0.0
-        return math.pi * self.delta_Hz / (self.Delta_Hz + self.delta_Hz)
+        return default_spectator_phase(self.delta_Hz, self.Delta_Hz)
 
-    def mode_system(self, chi_mode: ChiMode = ChiMode.NONE) -> ModeSystem:
+    def mode_system(self) -> ModeSystem:
         omega1 = TWO_PI * self.omega1_Hz
-        chi = TWO_PI * self.g_Hz ** 2 / self.delta_Hz if chi_mode is not ChiMode.NONE else 0.0
         return ModeSystem(
             omega1=omega1,
             omega2=omega1 + TWO_PI * self.Delta_Hz,
@@ -125,8 +105,6 @@ class RunConfig:
             lamb22=TWO_PI * self.lamb22_Hz,
             lamb12=TWO_PI * self.lamb12_Hz,
             lamb21=TWO_PI * self.lamb21_Hz,
-            chi_active=chi,
-            chi_mode=chi_mode,
         )
 
     def protocol_config(self) -> ProtocolConfig:
@@ -145,11 +123,10 @@ class RunConfig:
 
 
 def default_config() -> RunConfig:
-    return RunConfig(**{k: d for k, (_t, d) in _SCHEMA.items()})
+    return RunConfig()
 
 
-def _coerce(key: str, raw: str):
-    typ, _default = _SCHEMA[key]
+def _coerce(typ: type, key: str, raw: str):
     if typ is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
@@ -164,7 +141,8 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    values = {k: d for k, (_t, d) in _SCHEMA.items()}
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -172,9 +150,9 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
+        values[key] = _coerce(types[key], key, raw)
     return RunConfig(**values)
 
 

@@ -160,7 +160,3 @@ def decoherence_Z(alpha0: complex, u11_mag: float) -> float:
         raise ValueError("u11_mag must lie in [0, 1]")
     return math.exp(-2.0 * abs(alpha0) ** 2 * (1.0 - u11_mag * u11_mag))
 
-
-def reference_amplitude(beta0: complex, u22: complex) -> complex:
-    """Decayed reference amplitude beta(t) = u22(t) * beta(0)."""
-    return complex(u22) * complex(beta0)

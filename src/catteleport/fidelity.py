@@ -15,12 +15,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .dynamics import EvolutionMatrix, ModeSystem, decoherence_Z, u_simplified
-from .states import CatSpec, cat_norm, overlap
+from .dynamics import ModeSystem, decoherence_Z, u_simplified
+from .states import CatSpec, overlap
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class CatMixture:
 class FidelityCurve:
     times: np.ndarray
     values: np.ndarray
-    params: dict
 
 
 def build_rho1(spec: CatSpec, u11: complex) -> CatMixture:
@@ -86,11 +84,7 @@ def fidelity(spec: CatSpec, mixture: CatMixture) -> float:
     Expands exactly into the eight coherent overlap products
     <+-alpha0 | +-amp>.
     """
-    n = cat_norm(spec)
-    targets = (
-        (complex(spec.c_plus) / n, complex(spec.alpha)),
-        (spec.parity_sign * complex(spec.c_minus) / n, -complex(spec.alpha)),
-    )
+    targets = spec.components()
     sources = (mixture.amp, -mixture.amp)
     # v_i = <Psi | s_i>
     v = [sum(c.conjugate() * overlap(a, s) for c, a in targets) for s in sources]
@@ -138,14 +132,4 @@ def fidelity_curve(spec: CatSpec, sys: ModeSystem, t_max: float, n_points: int,
         steps = np.diff(values)
         if steps.max(initial=-np.inf) > 1e-9:
             raise ValueError("fidelity curve failed monotonicity check")
-    params = {
-        "alpha0": complex(spec.alpha),
-        "c_plus": complex(spec.c_plus),
-        "c_minus": complex(spec.c_minus),
-        "parity_sign": spec.parity_sign,
-        "gamma11": sys.gamma11,
-        "gamma22": sys.gamma22,
-        "spectator_phase": spectator_phase,
-        "rotating_frame": rotating_frame,
-    }
-    return FidelityCurve(times=times, values=values, params=params)
+    return FidelityCurve(times=times, values=values)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import StepSizeRejected, TruncationBreach
 from .fidelity import CatMixture
-from .states import CatSpec, cat_norm
+from .states import CatSpec
 
 TAIL_TOL = 1e-8
 

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .states import (
     CatSpec,
     Term,
     TermState,
-    cat_norm,
+    cat_term_state,
     merge_terms,
-    overlap,
+    normalized,
     project_atom,
     scale_state,
     state_overlap,
@@ -66,24 +66,19 @@ class ProtocolConfig:
     c_minus: complex
     parity_sign: int = 1
     spectator_phase: float = field(default_factory=default_spectator_phase)
-    phase_meas_error: Optional[float] = None
     rng_seed: int = 0
 
     def __post_init__(self):
-        coeff = abs(self.c_plus) ** 2 + abs(self.c_minus) ** 2
-        if abs(coeff - 1.0) > 1e-12:
-            raise ValueError("|c_plus|^2 + |c_minus|^2 must be 1 within 1e-12")
-        if self.parity_sign not in (1, -1):
-            raise ValueError("parity_sign must be +1 or -1")
-        err = self.effective_phase_error
-        if not 0.0 <= err < 1.0:
-            raise ValueError("phase_meas_error must lie in [0, 1)")
+        # building both cats runs CatSpec's checks of the coefficients, the
+        # parity and the amplitudes
+        self.target, self.target_mode2
+        if self.effective_phase_error >= 1.0:
+            raise ValueError(f"beta = {self.beta!r}: the phase readout cannot "
+                             "tell the reference field from the vacuum")
 
     @property
     def effective_phase_error(self) -> float:
-        """Misidentification probability; defaults to |<0|2 beta>|^2."""
-        if self.phase_meas_error is not None:
-            return self.phase_meas_error
+        """Misidentification probability |<0|2 beta>|^2."""
         return math.exp(-4.0 * abs(self.beta) ** 2)
 
     @property
@@ -106,15 +101,6 @@ class BranchOutcome:
     residual_mode1: TermState
     probability: float
     classification: Classification
-
-
-def prepare_cat(beta: complex, c_plus: complex, c_minus: complex,
-                detected: AtomLevel) -> CatSpec:
-    """Cat collapse after the preparation atom is detected: g -> even, e -> odd."""
-    parity = 1 if detected is AtomLevel.G else -1
-    spec = CatSpec(c_plus, c_minus, beta, parity)
-    cat_norm(spec)  # raises NullState on degenerate cancellation
-    return spec
 
 
 def ramsey_half_pulse(state: TermState, drive_phase: float = 0.0) -> TermState:
@@ -210,24 +196,6 @@ def phase_branches(state: TermState, beta_ref: complex,
     return tuple(branches)
 
 
-def measure_phase(state: TermState, beta_ref: complex, error_prob: float,
-                  rng: np.random.Generator, cluster_tol: float = 1e-9):
-    """Sample one phase-readout outcome.
-
-    The state collapses onto the actual cluster with Born probability; with
-    probability ``error_prob`` the *reported* sign is flipped.
-    Returns (reported_sign, post_state, probability_of_actual_branch).
-    """
-    branches = phase_branches(state, beta_ref, cluster_tol)
-    probs = np.array([b[2] for b in branches])
-    probs = probs / probs.sum()
-    idx = int(rng.choice(2, p=probs))
-    sign, post, prob = branches[idx]
-    if error_prob > 0.0 and rng.random() < error_prob:
-        sign = -sign
-    return sign, post, prob
-
-
 def _strip_mode2(cluster_state: TermState) -> TermState:
     """Drop the measured mode-2 register of a cluster sub-state.
 
@@ -240,13 +208,6 @@ def _strip_mode2(cluster_state: TermState) -> TermState:
     return TermState(out)
 
 
-def _renormalized_or_none(state: TermState):
-    n = term_norm(state) if state.terms else 0.0
-    if n < 1e-14:
-        return None
-    return scale_state(state, 1.0 / n)
-
-
 def _classify(atom: AtomLevel, sign: int) -> Classification:
     if atom is AtomLevel.G:
         return (Classification.SUCCESS_DIRECT if sign == 1
@@ -256,12 +217,7 @@ def _classify(atom: AtomLevel, sign: int) -> Classification:
 
 def run_protocol(cfg: ProtocolConfig) -> tuple[BranchOutcome, ...]:
     """Execute the full ideal pipeline and return all four exact branches."""
-    n = cat_norm(cfg.target_mode2)
-    state = TermState.from_tuples([
-        (cfg.c_plus / n, AtomLevel.G, cfg.alpha, cfg.beta),
-        (cfg.parity_sign * complex(cfg.c_minus) / n, AtomLevel.G, cfg.alpha,
-         -complex(cfg.beta)),
-    ])
+    state = cat_term_state(cfg.target_mode2, mode1_amp=cfg.alpha)
     state = ramsey_half_pulse(state, drive_phase=0.0)
     state = dispersive_pi(state, ChiMode.MODE1, cfg.spectator_phase)
     # Stark switch: instantaneous change of which mode carries chi; no
@@ -278,8 +234,9 @@ def run_protocol(cfg: ProtocolConfig) -> tuple[BranchOutcome, ...]:
         branch, p_atom = project_atom(state, atom)
         displaced = displace_mode2(branch, cfg.beta)
         for sign, post, p_sign in phase_branches(displaced, cfg.beta, tol):
-            residual = _renormalized_or_none(_strip_mode2(post))
-            if residual is None:
+            try:
+                residual = normalized(_strip_mode2(post))
+            except NullState:
                 residual = TermState(())
             outcomes.append(BranchOutcome(
                 atom=atom,
@@ -293,12 +250,8 @@ def run_protocol(cfg: ProtocolConfig) -> tuple[BranchOutcome, ...]:
 
 def target_state(cfg: ProtocolConfig) -> TermState:
     """Normalized mode-1 target C+|alpha> + parity C-|-alpha> (atom tag G)."""
-    n = cat_norm(cfg.target)
-    return TermState.from_tuples([
-        (cfg.c_plus / n, AtomLevel.G, cfg.alpha, 0.0),
-        (cfg.parity_sign * complex(cfg.c_minus) / n, AtomLevel.G,
-         -complex(cfg.alpha), 0.0),
-    ])
+    return TermState.from_tuples(
+        (weight, AtomLevel.G, amp, 0.0) for weight, amp in cfg.target.components())
 
 
 def residual_fidelity(residual: TermState, cfg: ProtocolConfig) -> float:

@@ -64,6 +64,13 @@ class CatSpec:
             if not (math.isfinite(complex(v).real) and math.isfinite(complex(v).imag)):
                 raise ValueError("amplitudes must be finite")
 
+    def components(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+        """(weight, amplitude) of both coherent components of the normalized cat."""
+        n = cat_norm(self)
+        alpha = complex(self.alpha)
+        return ((complex(self.c_plus) / n, alpha),
+                (self.parity_sign * complex(self.c_minus) / n, -alpha))
+
 
 def cat_norm(spec: CatSpec) -> float:
     """Physical norm of the cat superposition described by ``spec``."""
@@ -191,9 +198,5 @@ def project_atom(state: TermState, outcome: AtomLevel) -> tuple[TermState, float
 def cat_term_state(spec: CatSpec, mode1_amp: complex = 0.0,
                    atom: AtomLevel = AtomLevel.G) -> TermState:
     """Normalized TermState carrying the cat in mode 2 and |mode1_amp> in mode 1."""
-    n = cat_norm(spec)
-    return TermState.from_tuples([
-        (spec.c_plus / n, atom, mode1_amp, spec.alpha),
-        (spec.parity_sign * complex(spec.c_minus) / n, atom, mode1_amp,
-         -complex(spec.alpha)),
-    ])
+    return TermState.from_tuples(
+        (weight, atom, mode1_amp, amp) for weight, amp in spec.components())

@@ -36,6 +36,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("alpha_re=1.0\nbogus_key=3\n")
 
+    @pytest.mark.parametrize("key", ["t_tel_s", "g_Hz"])
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key}=1e-4\n")
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("alpha_re 1.0\n")
@@ -53,6 +58,19 @@ class TestConfigParsing:
     def test_vanishing_cat_coefficients_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("c_plus=0.0\nc_minus=0.0\n")
+
+    @pytest.mark.parametrize("text, keys", [
+        ("alpha_re=0\nparity=-1\n", ("alpha_re", "alpha_im", "parity")),
+        ("beta_re=0\nparity=-1\n", ("beta_re", "beta_im")),
+        ("beta_re=0\n", ("beta_re", "beta_im")),
+    ], ids=["null_mode1_cat", "null_mode2_cat", "vacuum_reference"])
+    def test_null_cat_rejected_naming_its_keys(self, tmp_path, capsys, text, keys):
+        p = tmp_path / "null.cfg"
+        p.write_text(text)
+        code, _ = run_cli(tmp_path, "fidelity", "--config", str(p))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(k in err for k in keys), err
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -187,9 +205,10 @@ class TestFidelityCommand:
         vals = [float(r["F_analytic"]) for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_oracle_column_agrees(self, tmp_path):
+    @pytest.mark.parametrize("frame", ["rotating", "lab"])
+    def test_oracle_column_agrees(self, tmp_path, frame):
         p = tmp_path / "small.cfg"
-        p.write_text("n_points=12\n")
+        p.write_text(f"n_points=12\nframe={frame}\n")
         code, text = run_cli(tmp_path, "fidelity", "--oracle", "--config", str(p))
         assert code == 0
         for r in read_rows(text):
@@ -197,9 +216,12 @@ class TestFidelityCommand:
 
 
 class TestOracleCheckCommand:
-    def test_all_checks_pass(self, tmp_path):
+    @pytest.mark.parametrize("extra", [
+        "", "parity=-1\n", "c_minus=-0.7071067811865476\n",
+    ], ids=["even", "odd_parity", "negative_c_minus"])
+    def test_all_checks_pass(self, tmp_path, extra):
         p = tmp_path / "fast.cfg"
-        p.write_text("t_max_s=4e-4\n")
+        p.write_text("t_max_s=4e-4\n" + extra)
         code, text = run_cli(tmp_path, "oracle-check", "--config", str(p))
         assert code == 0
         rows = read_rows(text)

@@ -11,7 +11,6 @@ from catteleport.dynamics import (
     ModeSystem,
     decoherence_Z,
     drain_params,
-    reference_amplitude,
     u_full,
     u_simplified,
 )
@@ -210,18 +209,6 @@ class TestDecoherenceZ:
     def test_rejects_unphysical_magnitude(self):
         with pytest.raises(ValueError):
             decoherence_Z(1.0, 1.5)
-
-
-class TestReferenceAmplitude:
-    def test_identity(self):
-        assert reference_amplitude(0.5 + 0.1j, 1.0) == 0.5 + 0.1j
-
-    def test_decayed_reference(self):
-        u22 = math.exp(-GBAR * T_TEL / 2.0)
-        assert reference_amplitude(1.0, u22) == pytest.approx(0.8313352, abs=1e-6)
-
-    def test_zero(self):
-        assert reference_amplitude(0.0, 0.8) == 0.0
 
 
 class TestModeSystemValidation:

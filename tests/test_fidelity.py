@@ -145,11 +145,6 @@ class TestFidelityCurve:
         curve = fidelity_curve(balanced_spec(0.5), reference_system(), 1e-3, 200)
         assert curve.values.min() >= 0.95
 
-    def test_params_recorded(self):
-        curve = fidelity_curve(balanced_spec(1.0), reference_system(), 1e-3, 10)
-        assert curve.params["gamma11"] == GAMMA11
-        assert curve.params["rotating_frame"] is True
-
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             fidelity_curve(balanced_spec(1.0), reference_system(), 1e-3, 1)

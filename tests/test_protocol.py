@@ -13,9 +13,7 @@ from catteleport.protocol import (
     default_spectator_phase,
     dispersive_pi,
     displace_mode2,
-    measure_phase,
     phase_branches,
-    prepare_cat,
     ramsey_half_pulse,
     residual_fidelity,
     run_protocol,
@@ -67,16 +65,9 @@ def initial_state(cfg):
 
 
 class TestPrepareCat:
-    def test_ground_detection_gives_even_cat(self):
-        spec = prepare_cat(1.2, INV, INV, AtomLevel.G)
-        assert spec.parity_sign == 1
-
-    def test_excited_detection_gives_odd_cat(self):
-        spec = prepare_cat(1.2, INV, INV, AtomLevel.E)
-        assert spec.parity_sign == -1
-
     def test_plain_coherent_state(self):
-        spec = prepare_cat(0.9, 1.0, 0.0, AtomLevel.E)
+        spec = ProtocolConfig(alpha=0.5, beta=0.9, c_plus=1.0, c_minus=0.0,
+                              parity_sign=-1).target_mode2
         assert cat_norm(spec) == pytest.approx(1.0)
 
 
@@ -194,11 +185,12 @@ class TestIntermediateStates:
 
 
 class TestPhaseMeasurement:
-    def test_deterministic_doubled_amplitude(self, rng):
+    def test_deterministic_doubled_amplitude(self):
         state = TermState.from_tuples([(1.0, "g", 0.0, 2.6)])
-        sign, _post, prob = measure_phase(state, 1.3, 0.0, rng)
+        (sign, _post, prob), (_, _, prob_zero) = phase_branches(state, 1.3)
         assert sign == 1
         assert prob == pytest.approx(1.0)
+        assert prob_zero == 0.0
 
     def test_balanced_branches_near_half(self):
         cfg = balanced_config(2.0)
@@ -218,10 +210,10 @@ class TestPhaseMeasurement:
         cfg = balanced_config(1.0)
         assert cfg.effective_phase_error == pytest.approx(math.exp(-4.0), abs=1e-12)
 
-    def test_ambiguous_amplitude_raises(self, rng):
+    def test_ambiguous_amplitude_raises(self):
         state = TermState.from_tuples([(1.0, "g", 0.0, 1.3)])  # halfway point
         with pytest.raises(AmbiguousCluster):
-            measure_phase(state, 1.3, 0.0, rng)
+            phase_branches(state, 1.3)
 
 
 class TestCorrection:
