@@ -49,12 +49,18 @@ class RunConfig:
     frame: str = "rotating"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.frame not in ("rotating", "lab"):
             raise ConfigError(f"frame must be 'rotating' or 'lab', got {self.frame!r}")
         if self.parity not in (1, -1):
             raise ConfigError("parity must be +1 or -1")
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         for key in ("gamma11_inv_s", "gamma22_inv_s", "t_max_s"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"{key} must be positive")
@@ -118,7 +124,6 @@ class RunConfig:
             c_minus=self.c_minus / norm,
             parity_sign=self.parity,
             spectator_phase=self.spectator_phase,
-            rng_seed=self.seed,
         )
 
 

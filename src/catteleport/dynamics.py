@@ -22,9 +22,8 @@ import numpy as np
 
 
 class ChiMode(Enum):
-    """Which mode, if any, carries the dispersive shift chi."""
+    """Which mode carries the dispersive shift chi."""
 
-    NONE = "none"
     MODE1 = "mode1"
     MODE2 = "mode2"
 
@@ -46,8 +45,6 @@ class ModeSystem:
     lamb22: float = 0.0
     lamb12: float = 0.0
     lamb21: float = 0.0
-    chi_active: float = 0.0
-    chi_mode: ChiMode = ChiMode.NONE
 
     def __post_init__(self):
         if self.gamma11 <= 0.0 or self.gamma22 <= 0.0:
@@ -83,7 +80,6 @@ class EvolutionMatrix:
     u12: complex
     u21: complex
     u22: complex
-    t: float
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.u11, self.u12], [self.u21, self.u22]], dtype=complex)
@@ -91,11 +87,9 @@ class EvolutionMatrix:
 
 def drain_params(sys: ModeSystem) -> DrainParams:
     """Assemble A, B, C, D from mode frequencies, damping and Lamb shifts."""
-    chi1 = sys.chi_active if sys.chi_mode is ChiMode.MODE1 else 0.0
-    chi2 = sys.chi_active if sys.chi_mode is ChiMode.MODE2 else 0.0
     return DrainParams(
-        A=1j * (sys.omega1 + chi1 + sys.lamb11) + 0.5 * sys.gamma11,
-        B=1j * (sys.omega2 + chi2 + sys.lamb22) + 0.5 * sys.gamma22,
+        A=1j * (sys.omega1 + sys.lamb11) + 0.5 * sys.gamma11,
+        B=1j * (sys.omega2 + sys.lamb22) + 0.5 * sys.gamma22,
         C=1j * sys.lamb12 + 0.5 * sys.gamma12,
         D=1j * sys.lamb21 + 0.5 * sys.gamma21,
     )
@@ -127,7 +121,6 @@ def u_full(p: DrainParams, t: float, s_sign: int = 1) -> EvolutionMatrix:
         u12=-pref * 2.0 * p.C * h * shc,
         u21=-pref * 2.0 * p.D * h * shc,
         u22=pref * (ch + (p.A - p.B) * h * shc),
-        t=t,
     )
 
 
@@ -136,21 +129,18 @@ def u_simplified(sys: ModeSystem, t: float, rotating_frame: bool = True) -> Evol
 
     Both diagonal entries decay at gbar/2 = (gamma11 + gamma22)/4 per
     amplitude.  With ``rotating_frame`` the deterministic phases
-    exp(-i omega_j t) are dropped; dispersive chi phases are kept.
+    exp(-i omega_j t) are dropped.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
     gbar = sys.mean_damping_rate
-    chi1 = sys.chi_active if sys.chi_mode is ChiMode.MODE1 else 0.0
-    chi2 = sys.chi_active if sys.chi_mode is ChiMode.MODE2 else 0.0
-    w1 = chi1 if rotating_frame else sys.omega1 + chi1
-    w2 = chi2 if rotating_frame else sys.omega2 + chi2
+    w1 = 0.0 if rotating_frame else sys.omega1
+    w2 = 0.0 if rotating_frame else sys.omega2
     return EvolutionMatrix(
         u11=cmath.exp((-0.5 * gbar - 1j * w1) * t),
         u12=0.0,
         u21=0.0,
         u22=cmath.exp((-0.5 * gbar - 1j * w2) * t),
-        t=t,
     )
 
 

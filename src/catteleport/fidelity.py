@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModeSystem, decoherence_Z, u_simplified
-from .states import CatSpec, overlap
+from .errors import NullState
+from .states import NULL_NORM_TOL, CatSpec, overlap
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,8 @@ def build_rho1(spec: CatSpec, u11: complex) -> CatMixture:
     w_mm = abs(spec.c_minus) ** 2
     coh = z * complex(spec.c_plus) * complex(spec.c_minus).conjugate() * spec.parity_sign
     trace_raw = w_pp + w_mm + 2.0 * (coh * overlap(-amp, amp)).real
+    if trace_raw < NULL_NORM_TOL ** 2:
+        raise NullState("cat superposition is the null vector")
     return CatMixture(amp=amp, w_pp=w_pp, w_mm=w_mm, coh=coh,
                       norm_const=1.0 / trace_raw)
 

@@ -66,7 +66,6 @@ class ProtocolConfig:
     c_minus: complex
     parity_sign: int = 1
     spectator_phase: float = field(default_factory=default_spectator_phase)
-    rng_seed: int = 0
 
     def __post_init__(self):
         # building both cats runs CatSpec's checks of the coefficients, the
@@ -169,7 +168,7 @@ def _split_clusters(state: TermState, beta_ref: complex, cluster_tol: float):
                 f"mode-2 amplitude {t.amp2!r} is near neither 0 nor {center_plus!r}"
             )
         (plus_terms if d_plus <= d_zero else zero_terms).append(t)
-    return TermState(tuple(plus_terms)), TermState(tuple(zero_terms)), center_plus
+    return TermState(tuple(plus_terms)), TermState(tuple(zero_terms))
 
 
 def phase_branches(state: TermState, beta_ref: complex,
@@ -181,7 +180,7 @@ def phase_branches(state: TermState, beta_ref: complex,
     norm of ``state``; the discarded cross-cluster coherence is
     O(exp(-4|beta|^2)).
     """
-    plus, zero, _center = _split_clusters(state, beta_ref, cluster_tol)
+    plus, zero = _split_clusters(state, beta_ref, cluster_tol)
     n_plus2 = term_norm(plus) ** 2 if plus.terms else 0.0
     n_zero2 = term_norm(zero) ** 2 if zero.terms else 0.0
     total = n_plus2 + n_zero2
@@ -269,8 +268,9 @@ def sample_outcomes(outcomes: Sequence[BranchOutcome], trials: int,
     counts = {(o.atom, o.field_sign): 0 for o in outcomes}
     draws = rng.choice(len(outcomes), size=trials, p=probs)
     flips = rng.random(trials) < error_prob if error_prob > 0 else np.zeros(trials, bool)
-    for idx, flip in zip(draws, flips):
-        o = outcomes[int(idx)]
-        sign = -o.field_sign if flip else o.field_sign
-        counts[(o.atom, sign)] += 1
+    # slot 2i counts outcome i as drawn, slot 2i+1 with its readout sign flipped
+    tally = np.bincount(2 * draws + flips, minlength=2 * len(outcomes))
+    for i, o in enumerate(outcomes):
+        counts[(o.atom, o.field_sign)] += int(tally[2 * i])
+        counts[(o.atom, -o.field_sign)] += int(tally[2 * i + 1])
     return counts

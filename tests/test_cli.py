@@ -114,6 +114,24 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "coeffs")
         assert code == 3
 
+    @pytest.mark.parametrize("text, argv, out, name", [
+        ("", ["coeffs"], "missing/out.csv", "--out"),
+        ("gamma11_inv_s = nan\n", ["coeffs"], "out.csv", "gamma11_inv_s"),
+        ("t_max_s = inf\n", ["fidelity"], "out.csv", "t_max_s"),
+        ("alpha_re = inf\n", ["oracle-check"], "out.csv", "alpha_re"),
+        ("", ["protocol", "--trials", "-5"], "out.csv", "--trials"),
+        ("seed = -1\n", ["protocol", "--trials", "10"], "out.csv", "seed"),
+        ("", ["protocol", "--trials", "10", "--seed", "-1"], "out.csv", "seed"),
+    ], ids=["out_dir_missing", "nan_damping", "inf_t_max", "inf_alpha",
+            "negative_trials", "negative_seed_key", "negative_seed_flag"])
+    def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, text, argv, out, name):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        code = main([*argv, "--config", str(p), "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert name in err and "Traceback" not in err, err
+
     def test_ok_exit_zero(self, tmp_path):
         code, _ = run_cli(tmp_path, "protocol")
         assert code == 0
@@ -216,16 +234,19 @@ class TestFidelityCommand:
 
 
 class TestOracleCheckCommand:
-    @pytest.mark.parametrize("extra", [
-        "", "parity=-1\n", "c_minus=-0.7071067811865476\n",
-    ], ids=["even", "odd_parity", "negative_c_minus"])
-    def test_all_checks_pass(self, tmp_path, extra):
+    @pytest.mark.parametrize("extra, checks", [
+        ("", {"coherent_transport", "decoherence_Z", "dual_path_fidelity"}),
+        ("parity=-1\n", {"coherent_transport", "decoherence_Z", "dual_path_fidelity"}),
+        ("c_minus=-0.7071067811865476\n",
+         {"coherent_transport", "decoherence_Z", "dual_path_fidelity"}),
+        # a coherent state has no cat coherence: its decoherence_Z rows are omitted
+        ("c_minus=0\n", {"coherent_transport", "dual_path_fidelity"}),
+    ], ids=["even", "odd_parity", "negative_c_minus", "coherent_state"])
+    def test_all_checks_pass(self, tmp_path, extra, checks):
         p = tmp_path / "fast.cfg"
         p.write_text("t_max_s=4e-4\n" + extra)
         code, text = run_cli(tmp_path, "oracle-check", "--config", str(p))
         assert code == 0
         rows = read_rows(text)
         assert rows and all(r["status"] == "pass" for r in rows)
-        assert {r["check"] for r in rows} == {
-            "coherent_transport", "decoherence_Z", "dual_path_fidelity"
-        }
+        assert {r["check"] for r in rows} == checks

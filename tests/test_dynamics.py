@@ -6,7 +6,6 @@ import pytest
 from scipy.linalg import expm
 
 from catteleport.dynamics import (
-    ChiMode,
     DrainParams,
     ModeSystem,
     decoherence_Z,
@@ -52,15 +51,6 @@ class TestDrainParams:
     def test_reference_damping_rate(self):
         p = drain_params(reference_system())
         assert p.A.real == pytest.approx(500.0)
-
-    def test_chi_on_mode1(self):
-        # chi = g^2/delta with g = 1e4, delta = 1e5 adds i*1e3 to A
-        base = drain_params(reference_system())
-        shifted = drain_params(
-            reference_system(chi_active=1e4 ** 2 / 1e5, chi_mode=ChiMode.MODE1)
-        )
-        assert shifted.A - base.A == pytest.approx(1j * 1e3)
-        assert shifted.B == base.B
 
 
 class TestUFull:
@@ -152,13 +142,6 @@ class TestUSimplified:
         u = u_simplified(reference_system(), 6e-4, rotating_frame=True)
         assert u.u11.imag == 0.0 and u.u22.imag == 0.0
         assert u.u11 == pytest.approx(math.exp(-GBAR * 3e-4))
-
-    def test_chi_phase_kept_in_rotating_frame(self):
-        sys = reference_system(chi_active=1e3, chi_mode=ChiMode.MODE1)
-        t = 2e-4
-        u = u_simplified(sys, t, rotating_frame=True)
-        assert cmath.phase(u.u11) == pytest.approx(-1e3 * t)
-        assert u.u22.imag == 0.0
 
     def test_agrees_with_full_at_equal_damping(self, rng):
         # the mean-rate form coincides with the exact dynamics when the two

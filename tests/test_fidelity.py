@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catteleport.dynamics import ModeSystem, u_simplified
+from catteleport.errors import NullState
 from catteleport.fidelity import (
     CatMixture,
     build_rho1,
@@ -77,6 +78,10 @@ class TestBuildRho1:
     def test_rejects_growing_amplitude(self):
         with pytest.raises(ValueError):
             build_rho1(balanced_spec(1.0), 1.2)
+
+    def test_null_cat_raises_null_state(self):
+        with pytest.raises(NullState):
+            fidelity_at(balanced_spec(0.0, parity=-1), 0.9)
 
 
 class TestFidelity:

@@ -298,10 +298,9 @@ class TestRunProtocol:
         assert default_spectator_phase() == pytest.approx(0.0311, abs=1e-3)
 
     def test_sampled_frequencies_converge(self):
-        cfg = balanced_config(2.0, rng_seed=7)
-        outcomes = run_protocol(cfg)
+        outcomes = run_protocol(balanced_config(2.0))
         n = 100_000
-        gen = np.random.default_rng(cfg.rng_seed)
+        gen = np.random.default_rng(7)
         counts = sample_outcomes(outcomes, n, 0.0, gen)
         for o in outcomes:
             freq = counts[(o.atom, o.field_sign)] / n
