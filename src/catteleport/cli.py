@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -263,9 +264,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
         try:
             header, rows, ok = args.run(cfg, args)
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+            try:
+                out.write(",".join(header) + "\n")
+                for row in rows:
+                    out.write(",".join(_fmt(v) for v in row) + "\n")
+                out.flush()
+            except BrokenPipeError:
+                # the reader closed stdout early (`| head`); nothing is left to
+                # report to, and the flush at exit must not raise again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         finally:
             if out is not sys.stdout:
                 out.close()

@@ -18,6 +18,10 @@ from .protocol import ProtocolConfig, default_spectator_phase
 from .states import cat_norm
 
 TWO_PI = 2.0 * math.pi
+# Largest |alpha| and |beta| a config may set.  The paper's regime is |alpha|
+# of a few; at 10 the Fock oracle already needs ~200 levels per mode, past
+# ~38 exp(-|a|**2 / 2) underflows to 0 and past ~1e154 |a|**2 overflows.
+MAX_AMPLITUDE = 10.0
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,11 @@ class RunConfig:
             value = getattr(self, f.name)
             if type(f.default) is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for name, amp in (("alpha", self.alpha), ("beta", self.beta)):
+            size = math.hypot(amp.real, amp.imag)   # abs() raises past 1.8e308
+            if size > MAX_AMPLITUDE:
+                raise ConfigError(f"{name}_re and {name}_im give |{name}| = {size:.6g}, "
+                                  f"above {MAX_AMPLITUDE:g}")
         if self.frame not in ("rotating", "lab"):
             raise ConfigError(f"frame must be 'rotating' or 'lab', got {self.frame!r}")
         if self.parity not in (1, -1):

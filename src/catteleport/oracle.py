@@ -104,6 +104,7 @@ class LindbladSpec:
 
     ``gamma_matrix`` is a scalar rate for one mode or a 2x2 positive
     semidefinite matrix gamma_jj' for two modes sharing a reservoir.
+    ``hamiltonian`` is D x D with D the product of ``mode_dims``.
     """
 
     hamiltonian: np.ndarray
@@ -111,36 +112,103 @@ class LindbladSpec:
     mode_dims: Tuple[int, ...]
 
     def __post_init__(self):
+        dim = int(np.prod(self.mode_dims))
+        if np.shape(self.hamiltonian) != (dim, dim):
+            raise ValueError(f"hamiltonian must be {dim}x{dim} for mode_dims "
+                             f"{self.mode_dims}, got shape {np.shape(self.hamiltonian)}")
         self.gamma_matrix = np.atleast_2d(np.asarray(self.gamma_matrix, dtype=float))
+        k = len(self.mode_dims)
+        if self.gamma_matrix.shape != (k, k):
+            raise ValueError(f"gamma_matrix must be {k}x{k} for {k} mode(s), "
+                             f"got shape {self.gamma_matrix.shape}")
         if np.linalg.eigvalsh((self.gamma_matrix + self.gamma_matrix.T) / 2).min() < -1e-12:
             raise ValueError("gamma matrix must be positive semidefinite")
 
-    def mode_operators(self) -> list[np.ndarray]:
-        if len(self.mode_dims) == 1:
-            return [annihilation(self.mode_dims[0])]
-        d1, d2 = self.mode_dims
-        return [
-            np.kron(annihilation(d1), np.eye(d2, dtype=complex)),
-            np.kron(np.eye(d1, dtype=complex), annihilation(d2)),
-        ]
+
+_LOW, _HIGH = slice(None, -1), slice(1, None)   # Fock levels 0..d-2 and 1..d-1
 
 
 def _rhs_builder(spec: LindbladSpec):
-    h = spec.hamiltonian
-    ops = spec.mode_operators()
-    g = spec.gamma_matrix
-    pairs = []
-    for j in range(len(ops)):
-        for jp in range(len(ops)):
-            if abs(g[j, jp]) > 0.0:
-                adag_a = ops[j].conj().T @ ops[jp]
-                pairs.append((g[j, jp], ops[jp], ops[j].conj().T, adag_a))
+    """Right-hand side of the master equation, acting on rho as a tensor.
+
+    With k modes, rho is viewed with shape ``mode_dims + mode_dims``: axis j
+    holds the row Fock level of mode j and axis k + j its column level.  A
+    damping term rate * (a_jp rho a_j^+ - (a_j^+ a_jp rho + rho a_j^+ a_jp)/2)
+    then moves slices of rho by one level and scales them, so no D x D
+    operator is formed.  Each product is rounded as in the dense matrix form
+    (a_jp rho) a_j^+: rows before columns, sqrt(n) * sqrt(n) on the diagonal
+    of a_j^+ a_j and sqrt(m_j + 1) * sqrt(m_jp + 1) off it, so the result
+    equals that form exactly (a zero entry may differ in sign).  The
+    Hamiltonian commutator is a dense matmul, evaluated only for a non-zero H.
+    The returned function reuses two work buffers, one call at a time.
+    """
+    dims = spec.mode_dims
+    k = len(dims)
+    h = spec.hamiltonian if np.any(spec.hamiltonian) else None
+    roots = [np.sqrt(np.arange(d, dtype=float)) for d in dims]
+
+    def at(cuts):
+        """Index into the tensor: ``cuts`` maps an axis to a slice."""
+        return tuple(cuts.get(axis, slice(None)) for axis in range(2 * k))
+
+    def along(axis, values):
+        """``values`` laid along one axis of the tensor."""
+        layout = [1] * (2 * k)
+        layout[axis] = values.size
+        return values.reshape(layout)
+
+    # One term per non-zero gamma_jj'.  Each product is a (destination,
+    # coefficient, source) triple: out[dst] = coef * rho[src].  The jump has a
+    # row coefficient and a column coefficient, applied in that order.
+    terms = []
+    for j in range(k):
+        for jp in range(k):
+            rate = spec.gamma_matrix[j, jp]
+            if rate == 0.0:
+                continue
+            up_j, up_jp = roots[j][1:], roots[jp][1:]   # sqrt(m + 1), m = 0..d-2
+            jump = (at({jp: _LOW, k + j: _LOW}), along(jp, up_jp), along(k + j, up_j),
+                    at({jp: _HIGH, k + j: _HIGH}))
+            if j == jp:   # a_j^+ a_j is diagonal: sqrt(n) * sqrt(n)
+                n = roots[j] * roots[j]
+                left = (at({}), along(j, n), at({}))
+                right = (at({}), along(k + j, n), at({}))
+            else:   # a_j^+ a_jp moves one quantum from mode jp to mode j
+                left = (at({j: _HIGH, jp: _LOW}), along(j, up_j) * along(jp, up_jp),
+                        at({j: _LOW, jp: _HIGH}))
+                right = (at({k + j: _LOW, k + jp: _HIGH}),
+                         along(k + j, up_j) * along(k + jp, up_jp),
+                         at({k + j: _HIGH, k + jp: _LOW}))
+            terms.append((rate, j == jp, jump, left, right))
+
+    shape = dims + dims
+    work, scratch = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
 
     def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (h @ rho - rho @ h)
-        for rate, a_jp, adag_j, adag_a in pairs:
-            out += rate * (a_jp @ rho @ adag_j - 0.5 * (adag_a @ rho + rho @ adag_a))
-        return out
+        r = rho.reshape(shape)
+        if h is None:
+            out = np.zeros(shape, dtype=complex)
+        else:
+            out = (-1j * (h @ rho - rho @ h)).reshape(shape)
+        for rate, diagonal, jump, left, right in terms:
+            # work = jump - 0.5 * (left + right), summed as -0.5 * (left +
+            # right) + jump: the same roundings.  Entries no product writes
+            # are zero.
+            if not diagonal:
+                work.fill(0.0)
+            dst, coef, src = left
+            np.multiply(coef, r[src], out=work[dst])
+            dst, coef, src = right
+            np.multiply(r[src], coef, out=scratch[dst])
+            work[dst] += scratch[dst]
+            np.multiply(work, -0.5, out=work)
+            dst, rows, cols, src = jump
+            np.multiply(rows, r[src], out=scratch[dst])
+            scratch[dst] *= cols
+            work[dst] += scratch[dst]
+            np.multiply(work, rate, out=work)
+            out += work
+        return out.reshape(rho.shape)
 
     return rhs
 

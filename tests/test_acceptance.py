@@ -217,3 +217,29 @@ def test_acceptance_8_dispersive_pi_property():
         ok &= np.abs(twice.entries - rho.entries).max() < 1e-12
     elapsed = time.perf_counter() - start
     report(8, "dispersive pi amplitude flip", ok and elapsed < 1.0)
+
+
+def test_acceptance_9_coupled_damping_two_mode():
+    # two modes sharing one reservoir, gamma12 = gamma21 != 0: the Lindblad
+    # oracle must carry the product coherent state to the amplitudes u_full
+    # gives, and the uncoupled prediction must miss, so the check has teeth
+    start = time.perf_counter()
+    d = 16
+    amps = np.array([0.8, 0.6j])
+    g12 = 0.6 * math.sqrt(GAMMA11 * GAMMA22)
+    psi = np.kron(coherent_to_fock(amps[0], d - 1), coherent_to_fock(amps[1], d - 1))
+    rho = FockDensity.from_vector(psi, (d, d))
+    spec = LindbladSpec(np.zeros((d * d, d * d), dtype=complex),
+                        np.array([[GAMMA11, g12], [g12, GAMMA22]]), (d, d))
+    out = evolve_lindblad(rho, spec, T_TEL, 1.0 / (50.0 * GBAR), verify_step=True)
+
+    def deficit(c):
+        u = u_full(DrainParams(A=0.5 * GAMMA11, B=0.5 * GAMMA22, C=0.5 * c, D=0.5 * c),
+                   T_TEL).as_array()
+        b = u @ amps
+        phi = np.kron(coherent_to_fock(b[0], d - 1), coherent_to_fock(b[1], d - 1))
+        return abs(1.0 - float(np.real(phi.conj() @ out.entries @ phi)))
+
+    ok = deficit(g12) <= 1e-6 and deficit(0.0) >= 1e-3
+    elapsed = time.perf_counter() - start
+    report(9, "coupled two-mode damping against u_full", ok and elapsed < 10.0)

@@ -1,6 +1,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,8 +126,15 @@ class TestExitCodes:
         ("", ["protocol", "--trials", "-5"], "out.csv", "--trials"),
         ("seed = -1\n", ["protocol", "--trials", "10"], "out.csv", "seed"),
         ("", ["protocol", "--trials", "10", "--seed", "-1"], "out.csv", "seed"),
+        ("alpha_re = 1e200\n", ["fidelity"], "out.csv", "alpha_re"),
+        ("alpha_re = 1e3\n", ["protocol"], "out.csv", "alpha_re"),
+        ("alpha_im = 1e50\n", ["coeffs"], "out.csv", "alpha_im"),
+        ("alpha_re = 40\n", ["fidelity", "--oracle"], "out.csv", "alpha_re"),
+        ("beta_re = 20\n", ["protocol"], "out.csv", "beta_re"),
     ], ids=["out_dir_missing", "nan_damping", "inf_t_max", "inf_alpha",
-            "negative_trials", "negative_seed_key", "negative_seed_flag"])
+            "negative_trials", "negative_seed_key", "negative_seed_flag",
+            "huge_alpha", "large_alpha_protocol", "huge_alpha_im", "alpha_40_oracle",
+            "large_beta"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, text, argv, out, name):
         p = tmp_path / "run.cfg"
         p.write_text(text)
@@ -131,6 +142,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert name in err and "Traceback" not in err, err
+
+    def test_closed_stdout_pipe_exits_0_quietly(self, tmp_path):
+        # the reader stops after the header, as `| head -1` does
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("n_points = 20000\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "catteleport", "coeffs",
+                                 "--config", str(cfg)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline().startswith(b"t,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert (code, err) == (0, b"")
 
     def test_ok_exit_zero(self, tmp_path):
         code, _ = run_cli(tmp_path, "protocol")

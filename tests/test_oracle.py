@@ -8,6 +8,7 @@ from catteleport.fidelity import build_rho1, fidelity_at
 from catteleport.oracle import (
     FockDensity,
     LindbladSpec,
+    _rhs_builder,
     annihilation,
     cat_state_vector,
     coherent_fidelity,
@@ -30,6 +31,23 @@ GAMMA = 1.0e3
 
 def number_op(dim):
     return np.diag(np.arange(dim)).astype(complex)
+
+
+def dense_rhs(spec, rho):
+    """The master equation with D x D operators built by kron, term by term."""
+    if len(spec.mode_dims) == 1:
+        ops = [annihilation(spec.mode_dims[0])]
+    else:
+        d1, d2 = spec.mode_dims
+        ops = [np.kron(annihilation(d1), np.eye(d2)), np.kron(np.eye(d1), annihilation(d2))]
+    h = spec.hamiltonian
+    out = -1j * (h @ rho - rho @ h)
+    for j, a_j in enumerate(ops):
+        for jp, a_jp in enumerate(ops):
+            adag_a = a_j.conj().T @ a_jp
+            out += spec.gamma_matrix[j, jp] * (
+                a_jp @ rho @ a_j.conj().T - 0.5 * (adag_a @ rho + rho @ adag_a))
+    return out
 
 
 class TestFockBasics:
@@ -147,6 +165,35 @@ class TestLindbladEvolution:
                             np.array([[big]]), (dim,))
         with pytest.raises(StepSizeRejected):
             evolve_lindblad(rho, spec, 2e-4, dt_max=1e-4, verify_step=True)
+
+    @pytest.mark.parametrize("dims, gamma, diagonal_h", [
+        ((25,), [[GAMMA]], False),
+        ((16, 25), [[1.0e3, 0.0], [0.0, 1.1e3]], False),
+        ((5, 6), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], False),
+        ((16, 16), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], False),
+        ((5, 6), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], True),
+    ], ids=["one_mode_d25", "two_mode_16x25", "cross_5x6", "cross_16x16",
+            "cross_5x6_hamiltonian"])
+    def test_rhs_matches_dense_operators(self, dims, gamma, diagonal_h):
+        rng = np.random.default_rng(4)
+        dim = int(np.prod(dims))
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = x + x.conj().T
+        h = np.diag(rng.normal(scale=1.0e4, size=dim)) if diagonal_h else np.zeros((dim, dim))
+        spec = LindbladSpec(h.astype(complex), np.array(gamma), dims)
+        ref = dense_rhs(spec, rho)
+        assert np.abs(_rhs_builder(spec)(rho) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("h_dim, gamma, dims, key", [
+        (5, [[GAMMA]], (4,), "hamiltonian"),
+        (2, [[GAMMA, 0.0], [0.0, GAMMA]], (2, 2), "hamiltonian"),
+        (4, [[GAMMA]], (2, 2), "gamma_matrix"),
+        (4, [[GAMMA, 0.0], [0.0, GAMMA]], (4,), "gamma_matrix"),
+    ], ids=["hamiltonian_5x5_for_d4", "hamiltonian_2x2_for_2x2_modes",
+            "gamma_1x1_for_two_modes", "gamma_2x2_for_one_mode"])
+    def test_rejects_misshaped_spec(self, h_dim, gamma, dims, key):
+        with pytest.raises(ValueError, match=key):
+            LindbladSpec(np.eye(h_dim, dtype=complex), np.array(gamma), dims)
 
     def test_rejects_indefinite_gamma(self):
         with pytest.raises(ValueError):
