@@ -16,16 +16,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class ChiMode(Enum):
-    """Which mode carries the dispersive shift chi."""
-
-    MODE1 = "mode1"
-    MODE2 = "mode2"
 
 
 @dataclass(frozen=True)
@@ -142,6 +134,17 @@ def u_simplified(sys: ModeSystem, t: float, rotating_frame: bool = True) -> Evol
         u21=0.0,
         u22=cmath.exp((-0.5 * gbar - 1j * w2) * t),
     )
+
+
+def to_rotating_frame(u: EvolutionMatrix, sys: ModeSystem, t: float) -> EvolutionMatrix:
+    """Strip the free-evolution phases exp(-i omega_j t) from a lab-frame u(t).
+
+    Row j of u is multiplied by exp(i omega_j t), the frame convention of
+    ``u_simplified(..., rotating_frame=True)``.
+    """
+    p1 = cmath.exp(1j * sys.omega1 * t)
+    p2 = cmath.exp(1j * sys.omega2 * t)
+    return EvolutionMatrix(u.u11 * p1, u.u12 * p1, u.u21 * p2, u.u22 * p2)
 
 
 def decoherence_Z(alpha0: complex, u11_mag: float) -> float:

@@ -46,7 +46,7 @@ class CatMixture:
     def trace(self) -> float:
         return self.norm_const * np.trace(self.gram() @ self.coefficient_matrix()).real
 
-    def is_physical(self, tol: float = 1e-10) -> bool:
+    def is_physical(self) -> bool:
         """Unit trace and positive semidefiniteness of the density operator."""
         if abs(self.trace() - 1.0) > 1e-12:
             return False
@@ -55,13 +55,16 @@ class CatMixture:
         w, v = np.linalg.eigh(g)
         sq = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
         eig = np.linalg.eigvalsh(sq @ self.coefficient_matrix() @ sq)
-        return bool(eig.min() >= -tol)
+        return bool(eig.min() >= -1e-10)
 
 
 @dataclass(frozen=True)
 class FidelityCurve:
+    """Fidelity ``values`` at ``times``, scored at the mixture amplitudes ``u11``."""
+
     times: np.ndarray
     values: np.ndarray
+    u11: np.ndarray
 
 
 def build_rho1(spec: CatSpec, u11: complex) -> CatMixture:
@@ -89,41 +92,42 @@ def fidelity(spec: CatSpec, mixture: CatMixture) -> float:
     """
     targets = spec.components()
     sources = (mixture.amp, -mixture.amp)
-    # v_i = <Psi | s_i>
-    v = [sum(c.conjugate() * overlap(a, s) for c, a in targets) for s in sources]
-    p = mixture.coefficient_matrix()
-    f = mixture.norm_const * sum(
-        p[i, j] * v[i] * np.conj(v[j]) for i in range(2) for j in range(2)
-    )
-    f = complex(f).real
+    # v_i = <Psi | s_i>; f = N sum_ij P_ij v_i conj(v_j)
+    vp, vm = (sum(c.conjugate() * overlap(a, s) for c, a in targets) for s in sources)
+    coh = mixture.coh
+    f = mixture.norm_const * (
+        mixture.w_pp * vp * vp.conjugate() + coh * vp * vm.conjugate()
+        + coh.conjugate() * vm * vp.conjugate() + mixture.w_mm * vm * vm.conjugate()
+    ).real
     if not -1e-9 <= f <= 1.0 + 1e-9:
         raise ValueError(f"fidelity {f!r} outside [0, 1]")
     return min(max(f, 0.0), 1.0)
 
 
-def fidelity_at(spec: CatSpec, u11: complex, spectator_phase: float = 0.0) -> float:
-    """Fidelity of the damped mixture against the fixed t=0 target.
-
-    The deterministic spectator rotation is folded into the mixture
-    amplitude before comparing against the stationary target.
-    """
-    u_eff = complex(u11) * cmath.exp(1j * spectator_phase)
-    return fidelity(spec, build_rho1(spec, u_eff))
+def fidelity_at(spec: CatSpec, u11: complex) -> float:
+    """Fidelity of the damped mixture at ``u11`` against the fixed t=0 target."""
+    return fidelity(spec, build_rho1(spec, u11))
 
 
 def fidelity_curve(spec: CatSpec, sys: ModeSystem, t_max: float, n_points: int,
                    spectator_phase: float = 0.0,
                    rotating_frame: bool = True) -> FidelityCurve:
-    """Fidelity on a uniform time grid using the mean-damping-rate dynamics."""
+    """Fidelity on a uniform time grid using the mean-damping-rate dynamics.
+
+    The spectator rotation is folded into the scored amplitude:
+    u11[i] = u_simplified(times[i]).u11 * exp(i spectator_phase).
+    """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     times = np.linspace(0.0, t_max, n_points)
     values = np.empty(n_points)
+    u11 = np.empty(n_points, dtype=complex)
+    rot = cmath.exp(1j * spectator_phase)
     for i, t in enumerate(times):
-        u = u_simplified(sys, float(t), rotating_frame=rotating_frame)
-        values[i] = fidelity_at(spec, u.u11, spectator_phase)
+        u = u_simplified(sys, float(t), rotating_frame=rotating_frame).u11 * rot
+        u11[i], values[i] = u, fidelity_at(spec, u)
     balanced_even_real = (
         spec.parity_sign == 1
         and abs(complex(spec.alpha).imag) < 1e-14
@@ -135,4 +139,4 @@ def fidelity_curve(spec: CatSpec, sys: ModeSystem, t_max: float, n_points: int,
         steps = np.diff(values)
         if steps.max(initial=-np.inf) > 1e-9:
             raise ValueError("fidelity curve failed monotonicity check")
-    return FidelityCurve(times=times, values=values)
+    return FidelityCurve(times=times, values=values, u11=u11)

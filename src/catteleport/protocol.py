@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ChiMode
 from .errors import AmbiguousCluster, NullState
 from .states import (
     AtomLevel,
@@ -48,6 +47,13 @@ DEFAULT_SMALL_DELTA_HZ = 1.0e5
 def default_spectator_phase(delta_hz: float = DEFAULT_SMALL_DELTA_HZ,
                             big_delta_hz: float = DEFAULT_DELTA_HZ) -> float:
     return math.pi * delta_hz / (big_delta_hz + delta_hz)
+
+
+class ChiMode(Enum):
+    """Which mode carries the dispersive shift chi."""
+
+    MODE1 = "mode1"
+    MODE2 = "mode2"
 
 
 class Classification(Enum):
@@ -124,8 +130,6 @@ def dispersive_pi(state: TermState, mode: ChiMode,
     The non-selected mode of each e-term picks up the small deterministic
     spectator phase; g-terms are untouched.
     """
-    if mode not in (ChiMode.MODE1, ChiMode.MODE2):
-        raise ValueError("mode must be MODE1 or MODE2")
     spec = cmath.exp(1j * spectator_phase)
     out = []
     for t in state.terms:

@@ -195,8 +195,7 @@ def project_atom(state: TermState, outcome: AtomLevel) -> tuple[TermState, float
     return scale_state(sub, 1.0 / n), n * n
 
 
-def cat_term_state(spec: CatSpec, mode1_amp: complex = 0.0,
-                   atom: AtomLevel = AtomLevel.G) -> TermState:
-    """Normalized TermState carrying the cat in mode 2 and |mode1_amp> in mode 1."""
+def cat_term_state(spec: CatSpec, mode1_amp: complex) -> TermState:
+    """Normalized TermState: atom in g, |mode1_amp> in mode 1, the cat in mode 2."""
     return TermState.from_tuples(
-        (weight, atom, mode1_amp, amp) for weight, amp in spec.components())
+        (weight, AtomLevel.G, mode1_amp, amp) for weight, amp in spec.components())

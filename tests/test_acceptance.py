@@ -13,7 +13,6 @@ import pytest
 from scipy.linalg import expm
 
 from catteleport.dynamics import (
-    ChiMode,
     DrainParams,
     ModeSystem,
     u_full,
@@ -34,6 +33,7 @@ from catteleport.oracle import (
     required_n_max,
 )
 from catteleport.protocol import (
+    ChiMode,
     Classification,
     ProtocolConfig,
     apply_correction,

@@ -10,6 +10,7 @@ from catteleport.dynamics import (
     ModeSystem,
     decoherence_Z,
     drain_params,
+    to_rotating_frame,
     u_full,
     u_simplified,
 )
@@ -173,6 +174,25 @@ class TestUSimplified:
         bound = abs(math.exp(-GAMMA11 * t / 2) - math.exp(-GBAR * t / 2))
         assert dev == pytest.approx(bound, rel=0.2)
         assert dev < 2.5e-2
+
+
+class TestRotatingFrame:
+    def test_strips_free_phases_from_matrix_exponential(self, rng):
+        sys = reference_system(omega1=2 * math.pi * 1e5, omega2=2 * math.pi * 1.1e6,
+                               gamma12=6e2, gamma21=6e2, lamb11=3e2, lamb12=5e1, lamb21=5e1)
+        p = drain_params(sys)
+        for t in rng.uniform(0.0, 1e-3, 50):
+            ref = np.diag([cmath.exp(1j * sys.omega1 * t), cmath.exp(1j * sys.omega2 * t)])
+            ref = ref @ expm(-p.as_matrix() * t)
+            got = to_rotating_frame(u_full(p, t), sys, t).as_array()
+            assert np.abs(got - ref).max() < 1e-10
+
+    def test_maps_simplified_lab_frame_onto_rotating_frame(self):
+        sys = reference_system()
+        for t in (0.0, 1e-7, T_TEL, 1e-3):
+            lab = to_rotating_frame(u_simplified(sys, t, rotating_frame=False), sys, t)
+            rot = u_simplified(sys, t, rotating_frame=True)
+            assert np.abs(lab.as_array() - rot.as_array()).max() < 1e-6
 
 
 class TestDecoherenceZ:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestFidelity:
     def test_spectator_rotation_lowers_fidelity(self):
         spec = balanced_spec(1.0)
         u = u11_at(T_TEL)
-        assert fidelity_at(spec, u, spectator_phase=0.2) < fidelity_at(spec, u)
+        assert fidelity_at(spec, u * cmath.exp(0.2j)) < fidelity_at(spec, u)
 
     def test_unbalanced_cat_supported(self):
         spec = CatSpec(0.8, 0.6, 1.2, -1)
@@ -138,13 +139,20 @@ class TestFidelityCurve:
         assert curve.values[0] == pytest.approx(1.0, abs=1e-12)
         assert (np.diff(curve.values) <= 1e-9).all()
 
-    def test_matches_pointwise_evaluation(self):
+    @pytest.mark.parametrize("rotating_frame", [True, False], ids=["rotating", "lab"])
+    @pytest.mark.parametrize("spectator_phase", [0.0, 0.0311], ids=["no_phase", "phase"])
+    def test_matches_pointwise_evaluation(self, rotating_frame, spectator_phase):
+        # every point is scored at the u11 the curve reports, which is the
+        # simplified dynamics in the chosen frame turned by the spectator phase
         spec = balanced_spec(1.5)
         sys = reference_system()
-        curve = fidelity_curve(spec, sys, 1e-3, 50)
-        i = 17
-        u = u_simplified(sys, float(curve.times[i]))
-        assert curve.values[i] == pytest.approx(fidelity_at(spec, u.u11), abs=1e-14)
+        curve = fidelity_curve(spec, sys, 1e-3, 50, spectator_phase=spectator_phase,
+                               rotating_frame=rotating_frame)
+        rot = cmath.exp(1j * spectator_phase)
+        for t, f, u11 in zip(curve.times, curve.values, curve.u11):
+            u = u_simplified(sys, float(t), rotating_frame=rotating_frame)
+            assert u11 == u.u11 * rot
+            assert fidelity_at(spec, u11) == f
 
     def test_small_cat_stays_high_over_window(self):
         curve = fidelity_curve(balanced_spec(0.5), reference_system(), 1e-3, 200)

@@ -195,6 +195,28 @@ class TestLindbladEvolution:
         with pytest.raises(ValueError, match=key):
             LindbladSpec(np.eye(h_dim, dtype=complex), np.array(gamma), dims)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_gamma(self, rate):
+        with pytest.raises(ValueError, match="gamma_matrix"):
+            LindbladSpec(np.zeros((4, 4), dtype=complex), np.array([[rate]]), (4,))
+
+    def test_non_finite_state_fails_trace_check(self):
+        # a finite rate whose RK4 stages overflow ends in a NaN state
+        dim = 9
+        rho = FockDensity.from_vector(coherent_to_fock(0.5, dim - 1), (dim,))
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array([[1e300]]), (dim,))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="trace drifted"):
+            evolve_lindblad(rho, spec, 1e-3, 1e-3)
+
+    def test_rejects_state_of_other_mode_dims(self):
+        # same D = 36, so the RHS would reshape rho by the wrong dims and run
+        psi = np.kron(coherent_to_fock(0.0, 3), coherent_to_fock(0.3, 8))
+        rho = FockDensity.from_vector(psi, (4, 9))
+        spec = LindbladSpec(np.zeros((36, 36), dtype=complex), np.diag([GAMMA, GAMMA]), (6, 6))
+        with pytest.raises(ValueError, match="mode_dims"):
+            evolve_lindblad(rho, spec, 1e-4, 1e-5)
+
     def test_rejects_indefinite_gamma(self):
         with pytest.raises(ValueError):
             LindbladSpec(np.zeros((4, 4), dtype=complex),

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from catteleport.dynamics import ChiMode
 from catteleport.errors import AmbiguousCluster
 from catteleport.protocol import (
+    ChiMode,
     Classification,
     ProtocolConfig,
     apply_correction,
