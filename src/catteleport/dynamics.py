@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConsistencyError
+
 
 @dataclass(frozen=True)
 class ModeSystem:
@@ -103,11 +105,14 @@ def u_full(p: DrainParams, t: float, s_sign: int = 1) -> EvolutionMatrix:
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    s = s_sign * cmath.sqrt((p.B - p.A) ** 2 + 4.0 * p.C * p.D)
     h = 0.5 * t
     pref = cmath.exp(-(p.A + p.B) * h)
-    ch = cmath.cosh(s * h)
-    shc = _sinhc(s * h)  # sinh(s t/2) / (s t/2); finite in the degenerate limit
+    try:
+        s = s_sign * cmath.sqrt((p.B - p.A) ** 2 + 4.0 * p.C * p.D)
+        ch = cmath.cosh(s * h)
+        shc = _sinhc(s * h)  # sinh(s t/2) / (s t/2); finite in the degenerate limit
+    except OverflowError as exc:
+        raise ConsistencyError(f"u_full overflows at t={t!r}: {exc}") from None
     return EvolutionMatrix(
         u11=pref * (ch + (p.B - p.A) * h * shc),
         u12=-pref * 2.0 * p.C * h * shc,

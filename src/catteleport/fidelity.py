@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModeSystem, decoherence_Z, u_simplified
+from .dynamics import ModeSystem, decoherence_Z
 from .errors import NullState
 from .states import NULL_NORM_TOL, CatSpec, overlap
 
@@ -109,25 +109,72 @@ def fidelity_at(spec: CatSpec, u11: complex) -> float:
     return fidelity(spec, build_rho1(spec, u11))
 
 
+def _cmul(a, b) -> np.ndarray:
+    """a * b rounded as CPython rounds it; numpy's complex product may fuse a
+    multiply-add.  A float or int factor x stands for complex(x, 0.0), as
+    CPython 3.11 promotes it."""
+    z = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    z.real = a.real * b.real - a.imag * b.imag
+    z.imag = a.real * b.imag + a.imag * b.real
+    return z
+
+
+def _overlap(a, b, a_sq, b_sq) -> np.ndarray:
+    """overlap(a, b) given |a|**2 and |b|**2; complex np.exp rounds as cmath.exp."""
+    return np.exp(-0.5 * a_sq - 0.5 * b_sq + _cmul(np.conj(a), b))
+
+
+def _curve_values(spec: CatSpec, u11: np.ndarray) -> np.ndarray:
+    """fidelity_at(spec, u) for every u in ``u11``, bit for bit: build_rho1 and
+    fidelity step by step, with complex products by _cmul, abs by np.hypot,
+    x ** 2 by np.float_power (libm pow) and math.exp by complex np.exp."""
+    mag = np.hypot(u11.real, u11.imag)
+    if (mag > 1.0 + 1e-12).any():
+        raise ValueError("|u11| must not exceed 1")
+    mag = np.where(1.0 < mag, 1.0, mag)                  # min(mag, 1.0)
+    if not ((0.0 <= mag) & (mag <= 1.0)).all():          # NaN fails too
+        raise ValueError("u11_mag must lie in [0, 1]")
+    amp = _cmul(u11, complex(spec.alpha))
+    amp_sq = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
+    z = np.exp((-2.0 * abs(spec.alpha) ** 2 * (1.0 - mag * mag)).astype(complex)).real
+    coh = _cmul(_cmul(_cmul(z, complex(spec.c_plus)), complex(spec.c_minus).conjugate()),
+                spec.parity_sign)
+    w_pp, w_mm = abs(spec.c_plus) ** 2, abs(spec.c_minus) ** 2
+    trace_raw = w_pp + w_mm + 2.0 * _cmul(coh, _overlap(-amp, amp, amp_sq, amp_sq)).real
+    if (trace_raw < NULL_NORM_TOL ** 2).any():
+        raise NullState("cat superposition is the null vector")
+    targets = spec.components()
+    vp, vm = (sum(_cmul(c.conjugate(), _overlap(a, s, abs(a) ** 2, amp_sq))
+                  for c, a in targets) for s in (amp, -amp))
+    f = 1.0 / trace_raw * (
+        _cmul(_cmul(w_pp, vp), np.conj(vp)) + _cmul(_cmul(coh, vp), np.conj(vm))
+        + _cmul(_cmul(np.conj(coh), vm), np.conj(vp)) + _cmul(_cmul(w_mm, vm), np.conj(vm))
+    ).real
+    bad = ~((-1e-9 <= f) & (f <= 1.0 + 1e-9))
+    if bad.any():
+        raise ValueError(f"fidelity {float(f[bad.argmax()])!r} outside [0, 1]")
+    return np.where(1.0 < f, 1.0, np.where(0.0 > f, 0.0, f))   # min(max(f, 0.0), 1.0)
+
+
 def fidelity_curve(spec: CatSpec, sys: ModeSystem, t_max: float, n_points: int,
                    spectator_phase: float = 0.0,
                    rotating_frame: bool = True) -> FidelityCurve:
     """Fidelity on a uniform time grid using the mean-damping-rate dynamics.
 
     The spectator rotation is folded into the scored amplitude:
-    u11[i] = u_simplified(times[i]).u11 * exp(i spectator_phase).
+    u11[i] = u_simplified(times[i]).u11 * exp(i spectator_phase), and
+    values[i] = fidelity_at(spec, u11[i]), both in one numpy pass, bit for bit.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     times = np.linspace(0.0, t_max, n_points)
-    values = np.empty(n_points)
-    u11 = np.empty(n_points, dtype=complex)
-    rot = cmath.exp(1j * spectator_phase)
-    for i, t in enumerate(times):
-        u = u_simplified(sys, float(t), rotating_frame=rotating_frame).u11 * rot
-        u11[i], values[i] = u, fidelity_at(spec, u)
+    w1 = 0.0 if rotating_frame else sys.omega1
+    rate = -0.5 * sys.mean_damping_rate - 1j * w1   # u_simplified's u11 = exp(rate t)
+    with np.errstate(invalid="ignore"):   # an infinite rate gives NaN at t = 0: rejected
+        u11 = _cmul(np.exp(_cmul(rate, times)), cmath.exp(1j * spectator_phase))
+    values = _curve_values(spec, u11)
     balanced_even_real = (
         spec.parity_sign == 1
         and abs(complex(spec.alpha).imag) < 1e-14

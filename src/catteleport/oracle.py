@@ -71,11 +71,14 @@ class FockDensity:
 
     def validate(self) -> None:
         r = self.entries
-        if np.abs(r - r.conj().T).max() > 1e-12:
+        bad = np.count_nonzero(~np.isfinite(r))
+        if bad:
+            raise ValueError(f"density matrix has {bad} non-finite entries")
+        if not np.abs(r - r.conj().T).max() <= 1e-12:   # each check fails on NaN
             raise ValueError("density matrix not Hermitian within 1e-12")
-        if abs(np.trace(r).real - 1.0) > 1e-10:
+        if not abs(np.trace(r).real - 1.0) <= 1e-10:
             raise ValueError("trace deviates from 1 beyond 1e-10")
-        if np.linalg.eigvalsh((r + r.conj().T) / 2).min() < -1e-9:
+        if not np.linalg.eigvalsh((r + r.conj().T) / 2).min() >= -1e-9:
             raise ValueError("density matrix has a negative eigenvalue")
         self.check_truncation()
 
@@ -84,7 +87,7 @@ class FockDensity:
         grid = np.diag(self.entries).real.reshape(self.mode_dims)
         top = sum(grid[(slice(None),) * axis + (slice(-2, None),)].sum()
                   for axis in range(grid.ndim))
-        if top >= TAIL_TOL:
+        if not top < TAIL_TOL:   # NaN fails too
             raise TruncationBreach(f"top-level population {top:.3e}")
 
     @classmethod

@@ -143,6 +143,20 @@ class TestExitCodes:
         assert code == 2
         assert name in err and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("text, argv, stage", [
+        ("gamma11_inv_s = 1e-9\n", ["coeffs"], "u_full overflows at t="),
+        ("gamma11_inv_s = 1e-300\n", ["coeffs"], "u_full overflows at t="),
+        ("gamma11_inv_s = 5e-324\n", ["fidelity"], "u11_mag"),
+    ], ids=["cosh_overflow", "square_overflow", "infinite_damping_rate"])
+    def test_overflowing_rates_exit_3_naming_the_stage(self, tmp_path, capsys,
+                                                        text, argv, stage):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        code = main([*argv, "--config", str(p), "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert stage in err and "Traceback" not in err and "Warning" not in err, err
+
     def test_closed_stdout_pipe_exits_0_quietly(self, tmp_path):
         # the reader stops after the header, as `| head -1` does
         cfg = tmp_path / "long.cfg"

@@ -3,11 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from catteleport import dynamics
+from catteleport import fidelity as fidelity_module
 from catteleport.dynamics import ModeSystem, u_simplified
 from catteleport.errors import NullState
 from catteleport.fidelity import (
     CatMixture,
+    _cmul,
     build_rho1,
     fidelity,
     fidelity_at,
@@ -37,6 +42,31 @@ def reference_system():
 
 def u11_at(t):
     return math.exp(-GBAR * t / 2.0)
+
+
+def bits(values):
+    """The IEEE bit patterns of a float or complex array, so that -0.0 != 0.0."""
+    return np.asarray(values).view(np.int64)
+
+
+angles = st.just(0.0) | st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def curve_inputs(draw):
+    """A cat, mode system and grid from the range RunConfig accepts."""
+    size, theta = draw(st.floats(0.0, 10.0)), draw(angles)
+    alpha = complex(size * math.cos(theta), size * math.sin(theta))
+    chi, psi = draw(angles), draw(angles)
+    c_plus = math.cos(chi) * cmath.exp(1j * psi) if psi else math.cos(chi)
+    spec = CatSpec(c_plus, math.sin(chi), alpha, draw(st.sampled_from([1, -1])))
+    omega1 = 2.0 * math.pi * draw(st.floats(1e9, 1e11))
+    sys = ModeSystem(omega1=omega1, omega2=omega1 + 2.0 * math.pi * 1e7,
+                     gamma11=draw(st.floats(1e2, 1e5)), gamma22=draw(st.floats(1e2, 1e5)))
+    t_max = draw(st.floats(1e-3, 50.0)) / sys.mean_damping_rate
+    phase = draw(st.just(0.0) | st.floats(-math.pi, math.pi))
+    return (spec, sys, t_max, draw(st.integers(2, 2000)), phase,
+            draw(st.booleans()))
 
 
 class TestBuildRho1:
@@ -154,6 +184,43 @@ class TestFidelityCurve:
             assert u11 == u.u11 * rot
             assert fidelity_at(spec, u11) == f
 
+    @given(curve_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_path_bit_for_bit(self, inputs):
+        spec, sys, t_max, n_points, phase, rotating = inputs
+        rot = cmath.exp(1j * phase)
+        try:
+            u11 = [u_simplified(sys, float(t), rotating_frame=rotating).u11 * rot
+                   for t in np.linspace(0.0, t_max, n_points)]
+            values = [fidelity_at(spec, u) for u in u11]
+        except (ValueError, NullState) as exc:
+            with pytest.raises(type(exc)):
+                fidelity_curve(spec, sys, t_max, n_points, phase, rotating)
+            return
+        curve = fidelity_curve(spec, sys, t_max, n_points, phase, rotating)
+        assert (bits(curve.u11) == bits(np.array(u11))).all()
+        assert (bits(curve.values) == bits(np.array(values))).all()
+
+    def test_makes_no_per_point_scalar_call(self, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def double(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return double
+
+        for module, name in ((fidelity_module, "fidelity_at"),
+                             (fidelity_module, "build_rho1"),
+                             (fidelity_module, "fidelity"),
+                             (dynamics, "u_simplified")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        # a name imported into the fidelity module would bypass the dynamics double
+        assert not hasattr(fidelity_module, "u_simplified")
+        curve = fidelity_curve(balanced_spec(1.0), reference_system(), 1e-3, 50)
+        assert len(curve.values) == 50
+        assert calls == []
+
     def test_small_cat_stays_high_over_window(self):
         curve = fidelity_curve(balanced_spec(0.5), reference_system(), 1e-3, 200)
         assert curve.values.min() >= 0.95
@@ -163,3 +230,20 @@ class TestFidelityCurve:
             fidelity_curve(balanced_spec(1.0), reference_system(), 1e-3, 1)
         with pytest.raises(ValueError):
             fidelity_curve(balanced_spec(1.0), reference_system(), 0.0, 10)
+
+
+def test_complex_product_rounds_as_python(rng):
+    # signed zeros, units and values over many decades, as real and imaginary parts
+    pool = np.concatenate([[0.0, -0.0, 1.0, -1.0],
+                           rng.normal(size=400) * 10.0 ** rng.integers(-8, 9, 400)])
+    ar, ai, br, bi = (rng.choice(pool, 20_000).tolist() for _ in range(4))
+    a = np.array([complex(x, y) for x, y in zip(ar, ai)])
+    b = np.array([complex(x, y) for x, y in zip(br, bi)])
+    expected = [x * y for x, y in zip(a.tolist(), b.tolist())]
+    assert (bits(_cmul(a, b)) == bits(np.array(expected))).all()
+    # a float or int factor counts as complex(x, 0.0), as CPython 3.11 promotes it
+    expected = [x * y for x, y in zip(ar, b.tolist())]
+    assert (bits(_cmul(np.array(ar), b)) == bits(np.array(expected))).all()
+    for x in (ar[0], -0.0, 0.0, 1, -1):
+        expected = [x * y for y in b.tolist()]
+        assert (bits(_cmul(x, b)) == bits(np.array(expected))).all()

@@ -79,6 +79,18 @@ class TestFockBasics:
         rho = FockDensity.from_vector(coherent_to_fock(0.8, dim - 1), (dim,))
         rho.validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_validation_counts_non_finite_entries(self, bad):
+        dim = required_n_max(0.8) + 1
+        rho = FockDensity.from_vector(coherent_to_fock(0.8, dim - 1), (dim,))
+        rho.entries[0, 1] = rho.entries[1, 0] = rho.entries[2, 2] = bad
+        with pytest.raises(ValueError, match="3 non-finite entries"):
+            rho.validate()
+
+    def test_truncation_check_fails_on_nan(self):
+        with pytest.raises(TruncationBreach, match="nan"):
+            FockDensity(np.full((4, 4), math.nan), (4,)).check_truncation()
+
 
 class TestLindbladEvolution:
     def test_unitary_rotation_preserves_fidelity(self):
