@@ -29,8 +29,7 @@ from .oracle import (
     coherent_to_fock,
     evolve_lindblad,
     extract_cat_coherence,
-    mixture_to_fock,
-    oracle_fidelity,
+    mixture_fidelity,
     required_n_max,
 )
 from .protocol import apply_correction, residual_fidelity, run_protocol, sample_outcomes
@@ -39,6 +38,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_TRUNCATION = 4
+# Most RK4 steps oracle-check may take to reach t_max_s (dt = 1/(50 gamma_bar)),
+# so a run stays seconds long: t_max_s up to 20 mean damping times.
+ORACLE_MAX_STEPS = 1000
+# Most protocol runs --trials may sample: each takes about 30 bytes at once.
+MAX_TRIALS = 10 ** 6
 
 
 def _fmt(value) -> str:
@@ -89,8 +93,8 @@ def cmd_coeffs(cfg: RunConfig, args):
 
 def cmd_protocol(cfg: RunConfig, args):
     trials = args.trials
-    if trials is not None and trials < 0:
-        raise ConfigError(f"--trials must be non-negative, got {trials}")
+    if trials is not None and not 0 <= trials <= MAX_TRIALS:
+        raise ConfigError(f"--trials must lie in [0, {MAX_TRIALS}], got {trials}")
     pc = cfg.protocol_config()
     outcomes = run_protocol(pc)
     total = sum(o.probability for o in outcomes)
@@ -134,8 +138,7 @@ def cmd_fidelity(cfg: RunConfig, args):
     for t, f, u11 in zip(curve.times, curve.values, curve.u11):
         row = [float(t), float(f)]
         if args.oracle:
-            rho = mixture_to_fock(build_rho1(spec, complex(u11)))
-            f_or = oracle_fidelity(rho, spec)
+            f_or = mixture_fidelity(build_rho1(spec, complex(u11)), spec)
             row += [f_or, abs(f_or - float(f))]
         rows.append(row)
     return header, rows, True
@@ -168,8 +171,13 @@ def cmd_oracle_check(cfg: RunConfig, args):
     # cross term c+ conj(c-) parity (the config's coefficients are real); a
     # plain coherent state (c+ c- = 0) has no cat coherence to check
     cross = cfg.parity * pc.c_plus * pc.c_minus
-    n_max = required_n_max(alpha)
     dt_max = 1.0 / (50.0 * gbar)
+    steps = 50.0 * gbar * cfg.t_max_s   # t_max_s / dt_max, also when dt_max is 0
+    if not steps <= ORACLE_MAX_STEPS:
+        raise ConfigError(f"oracle-check would take {steps:.3g} RK4 steps of 1/(50 gamma_bar) "
+                          f"to reach t_max_s, above its budget of {ORACLE_MAX_STEPS}: raise "
+                          "gamma11_inv_s or gamma22_inv_s, or lower t_max_s")
+    n_max = required_n_max(alpha)
     dims = (n_max + 1,)
     lspec = LindbladSpec(
         hamiltonian=np.zeros((n_max + 1, n_max + 1), dtype=complex),
@@ -194,7 +202,7 @@ def cmd_oracle_check(cfg: RunConfig, args):
             checks.append(("decoherence_Z",
                            abs(z_oracle - math.copysign(z_ana, cross)) / z_ana, 1e-4))
         mixture = build_rho1(spec, u11)
-        f_orc = oracle_fidelity(mixture_to_fock(mixture), spec)
+        f_orc = mixture_fidelity(mixture, spec)
         checks.append(("dual_path_fidelity", abs(fidelity(spec, mixture) - f_orc), 1e-8))
         rows += [[check, t, value, threshold, "pass" if value <= threshold else "fail"]
                  for check, value, threshold in checks]

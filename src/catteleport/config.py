@@ -105,6 +105,9 @@ class RunConfig:
         interval at the configured detunings; 0 when switched off."""
         if not self.spectator_phase_on:
             return 0.0
+        if self.Delta_Hz + self.delta_Hz == 0.0:
+            raise ConfigError("delta_Hz = -Delta_Hz: the spectator phase "
+                              "pi * delta_Hz / (Delta_Hz + delta_Hz) divides by zero")
         return default_spectator_phase(self.delta_Hz, self.Delta_Hz)
 
     def mode_system(self) -> ModeSystem:

@@ -97,18 +97,18 @@ def _sinhc(z: complex) -> complex:
     return cmath.sinh(z) / z
 
 
-def u_full(p: DrainParams, t: float, s_sign: int = 1) -> EvolutionMatrix:
+def u_full(p: DrainParams, t: float) -> EvolutionMatrix:
     """Closed-form u(t) = exp(-Mt) for M = [[A, C], [D, B]].
 
-    ``s_sign`` flips the branch of the square root; the result is invariant
-    because every occurrence of s is even once sinh's oddness is accounted for.
+    Either branch of the square root s gives the same u: s enters only through
+    cosh(s h) and sinh(s h)/(s h), both even in s.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
     h = 0.5 * t
     pref = cmath.exp(-(p.A + p.B) * h)
     try:
-        s = s_sign * cmath.sqrt((p.B - p.A) ** 2 + 4.0 * p.C * p.D)
+        s = cmath.sqrt((p.B - p.A) ** 2 + 4.0 * p.C * p.D)
         ch = cmath.cosh(s * h)
         shc = _sinhc(s * h)  # sinh(s t/2) / (s t/2); finite in the degenerate limit
     except OverflowError as exc:

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import StepSizeRejected, TruncationBreach
+from .errors import NullState, StepSizeRejected, TruncationBreach
 from .fidelity import CatMixture
 from .states import CatSpec
 
@@ -43,10 +43,6 @@ def coherent_to_fock(a: complex, n_max: int) -> np.ndarray:
     return c
 
 
-def annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
-
-
 @dataclass
 class FockDensity:
     """Truncated number-basis density matrix for one or two modes."""
@@ -60,14 +56,6 @@ class FockDensity:
             raise ValueError("entries shape inconsistent with mode_dims")
         if len(self.mode_dims) not in (1, 2):
             raise ValueError("only one or two modes supported")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.mode_dims)
 
     def validate(self) -> None:
         r = self.entries
@@ -97,11 +85,11 @@ class FockDensity:
 
 @dataclass
 class LindbladSpec:
-    """Generator data: Hamiltonian plus the (cross-)damping matrix.
+    """Generator data: a Fock-diagonal Hamiltonian plus the (cross-)damping matrix.
 
-    ``gamma_matrix`` is a scalar rate for one mode or a 2x2 positive
-    semidefinite matrix gamma_jj' for two modes sharing a reservoir.
-    ``hamiltonian`` is D x D with D the product of ``mode_dims``.
+    ``hamiltonian`` is D x D (D the product of ``mode_dims``), real and
+    diagonal in the number basis; ``gamma_matrix`` is the k x k positive
+    semidefinite matrix gamma_jj' of k = 1 or 2 modes sharing a reservoir.
     """
 
     hamiltonian: np.ndarray
@@ -110,10 +98,14 @@ class LindbladSpec:
 
     def __post_init__(self):
         dim = int(np.prod(self.mode_dims))
-        if np.shape(self.hamiltonian) != (dim, dim):
+        h = self.hamiltonian
+        if np.shape(h) != (dim, dim):
             raise ValueError(f"hamiltonian must be {dim}x{dim} for mode_dims "
-                             f"{self.mode_dims}, got shape {np.shape(self.hamiltonian)}")
-        self.gamma_matrix = np.atleast_2d(np.asarray(self.gamma_matrix, dtype=float))
+                             f"{self.mode_dims}, got shape {np.shape(h)}")
+        e = np.diagonal(h)
+        if np.count_nonzero(h) != np.count_nonzero(e) or not np.isfinite(e).all() or e.imag.any():
+            raise ValueError("hamiltonian must be real, finite and diagonal in the Fock basis")
+        self.gamma_matrix = np.asarray(self.gamma_matrix, dtype=float)
         k = len(self.mode_dims)
         if self.gamma_matrix.shape != (k, k):
             raise ValueError(f"gamma_matrix must be {k}x{k} for {k} mode(s), "
@@ -131,24 +123,30 @@ def _rhs_builder(spec: LindbladSpec):
     """Right-hand side of the master equation, acting on rho as a tensor.
 
     With k modes, rho is viewed with shape ``mode_dims + mode_dims``: axis j
-    holds the row Fock level of mode j and axis k + j its column level.  A
+    holds the row Fock level of mode j and axis k + j its column level.  H is
+    diagonal, so -i[H, rho] is the phase -i (E_m - E_n) on entry rho_mn.  A
     damping term rate * (a_jp rho a_j^+ - (a_j^+ a_jp rho + rho a_j^+ a_jp)/2)
-    then moves slices of rho by one level and scales them, so no D x D
-    operator is formed.  Each product is rounded as in the dense matrix form
-    (a_jp rho) a_j^+: rows before columns, sqrt(n) * sqrt(n) on the diagonal
-    of a_j^+ a_j and sqrt(m_j + 1) * sqrt(m_jp + 1) off it, so the result
-    equals that form exactly (a zero entry may differ in sign).  The
-    Hamiltonian commutator is a dense matmul, evaluated only for a non-zero H.
-    The returned function reuses two work buffers, one call at a time.
+    moves slices of rho by one level and scales them, so no D x D operator is
+    formed.  Each product is rounded as in the dense matrix form (a_jp rho)
+    a_j^+: rows before columns, sqrt(n) * sqrt(n) on the diagonal of a_j^+ a_j
+    and sqrt(m_j + 1) * sqrt(m_jp + 1) off it, so the result equals that form
+    exactly (a zero entry may differ in sign).  The returned function reuses
+    two work buffers, one call at a time.
     """
     dims = spec.mode_dims
     k = len(dims)
-    h = spec.hamiltonian if np.any(spec.hamiltonian) else None
+    shape = dims + dims
+    energies = np.diagonal(spec.hamiltonian).real
+    phase = (-1j * (energies[:, None] - energies)).reshape(shape) if energies.any() else None
     roots = [np.sqrt(np.arange(d, dtype=float)) for d in dims]
 
-    def at(cuts):
-        """Index into the tensor: ``cuts`` maps an axis to a slice."""
-        return tuple(cuts.get(axis, slice(None)) for axis in range(2 * k))
+    def move(*steps):
+        """(dst, src) of out[dst] = rho[src] moving the level on each ``axis``
+        by ``step``: -1 takes level n + 1 to n, +1 takes n to n + 1."""
+        dst, src = [slice(None)] * (2 * k), [slice(None)] * (2 * k)
+        for axis, step in steps:
+            dst[axis], src[axis] = (_LOW, _HIGH) if step < 0 else (_HIGH, _LOW)
+        return tuple(dst), tuple(src)
 
     def along(axis, values):
         """``values`` laid along one axis of the tensor."""
@@ -157,8 +155,8 @@ def _rhs_builder(spec: LindbladSpec):
         return values.reshape(layout)
 
     # One term per non-zero gamma_jj'.  Each product is a (destination,
-    # coefficient, source) triple: out[dst] = coef * rho[src].  The jump has a
-    # row coefficient and a column coefficient, applied in that order.
+    # source) pair and its coefficient: out[dst] = coef * rho[src].  The jump
+    # has a row coefficient and a column coefficient, applied in that order.
     terms = []
     for j in range(k):
         for jp in range(k):
@@ -166,42 +164,34 @@ def _rhs_builder(spec: LindbladSpec):
             if rate == 0.0:
                 continue
             up_j, up_jp = roots[j][1:], roots[jp][1:]   # sqrt(m + 1), m = 0..d-2
-            jump = (at({jp: _LOW, k + j: _LOW}), along(jp, up_jp), along(k + j, up_j),
-                    at({jp: _HIGH, k + j: _HIGH}))
+            jump = (move((jp, -1), (k + j, -1)), along(jp, up_jp), along(k + j, up_j))
             if j == jp:   # a_j^+ a_j is diagonal: sqrt(n) * sqrt(n)
                 n = roots[j] * roots[j]
-                left = (at({}), along(j, n), at({}))
-                right = (at({}), along(k + j, n), at({}))
+                left, right = (move(), along(j, n)), (move(), along(k + j, n))
             else:   # a_j^+ a_jp moves one quantum from mode jp to mode j
-                left = (at({j: _HIGH, jp: _LOW}), along(j, up_j) * along(jp, up_jp),
-                        at({j: _LOW, jp: _HIGH}))
-                right = (at({k + j: _LOW, k + jp: _HIGH}),
-                         along(k + j, up_j) * along(k + jp, up_jp),
-                         at({k + j: _HIGH, k + jp: _LOW}))
+                left = (move((j, +1), (jp, -1)), along(j, up_j) * along(jp, up_jp))
+                right = (move((k + j, -1), (k + jp, +1)),
+                         along(k + j, up_j) * along(k + jp, up_jp))
             terms.append((rate, j == jp, jump, left, right))
 
-    shape = dims + dims
     work, scratch = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
 
     def rhs(rho: np.ndarray) -> np.ndarray:
         r = rho.reshape(shape)
-        if h is None:
-            out = np.zeros(shape, dtype=complex)
-        else:
-            out = (-1j * (h @ rho - rho @ h)).reshape(shape)
+        out = np.zeros(shape, dtype=complex) if phase is None else r * phase
         for rate, diagonal, jump, left, right in terms:
             # work = jump - 0.5 * (left + right), summed as -0.5 * (left +
             # right) + jump: the same roundings.  Entries no product writes
             # are zero.
             if not diagonal:
                 work.fill(0.0)
-            dst, coef, src = left
+            (dst, src), coef = left
             np.multiply(coef, r[src], out=work[dst])
-            dst, coef, src = right
+            (dst, src), coef = right
             np.multiply(r[src], coef, out=scratch[dst])
             work[dst] += scratch[dst]
             np.multiply(work, -0.5, out=work)
-            dst, rows, cols, src = jump
+            (dst, src), rows, cols = jump
             np.multiply(rows, r[src], out=scratch[dst])
             scratch[dst] *= cols
             work[dst] += scratch[dst]
@@ -239,10 +229,9 @@ def evolve_lindblad(rho: FockDensity, spec: LindbladSpec, t: float,
     out = _integrate(rho.entries, rhs, t, n_steps)
     if verify_step:
         refined = _integrate(rho.entries, rhs, t, 2 * n_steps)
-        if np.abs(out - refined).max() > 1e-8:
-            raise StepSizeRejected(
-                f"halving dt changed entries by {np.abs(out - refined).max():.3e}"
-            )
+        change = np.abs(out - refined).max()
+        if change > 1e-8:
+            raise StepSizeRejected(f"halving dt changed entries by {change:.3e}")
         out = refined
     tr = np.trace(out).real
     if not abs(tr - np.trace(rho.entries).real) <= 1e-10:   # NaN fails too
@@ -254,9 +243,9 @@ def evolve_lindblad(rho: FockDensity, spec: LindbladSpec, t: float,
 
 def dispersive_pi_fock(rho: FockDensity, phase: float = math.pi) -> FockDensity:
     """Conjugation by the number-phase operator exp(-i*phase*n) (single mode)."""
-    if rho.mode_count != 1:
+    if len(rho.mode_dims) != 1:
         raise ValueError("dispersive pulse oracle is single-mode")
-    n = np.arange(rho.dim)
+    n = np.arange(len(rho.entries))
     u = np.exp(-1j * phase * n)
     out = (u[:, None] * rho.entries) * u.conj()[None, :]
     return FockDensity(out, rho.mode_dims)
@@ -264,23 +253,20 @@ def dispersive_pi_fock(rho: FockDensity, phase: float = math.pi) -> FockDensity:
 
 def cat_state_vector(spec: CatSpec, n_max: int) -> np.ndarray:
     """Normalized Fock vector of the cat superposition in ``spec``."""
-    v = (
-        complex(spec.c_plus) * coherent_to_fock(spec.alpha, n_max)
-        + spec.parity_sign
-        * complex(spec.c_minus)
-        * coherent_to_fock(-complex(spec.alpha), n_max)
-    )
+    a = complex(spec.alpha)
+    v = (complex(spec.c_plus) * coherent_to_fock(a, n_max)
+         + spec.parity_sign * complex(spec.c_minus) * coherent_to_fock(-a, n_max))
     n = math.sqrt(float(np.vdot(v, v).real))
     if n < 1e-14:
-        raise TruncationBreach("cat vector has null norm")
+        raise NullState("cat vector has null norm")
     return v / n
 
 
 def oracle_fidelity(rho: FockDensity, spec: CatSpec) -> float:
     """<Psi|rho|Psi> with |Psi> built by direct Fock expansion."""
-    if rho.mode_count != 1:
+    if len(rho.mode_dims) != 1:
         raise ValueError("oracle fidelity is single-mode")
-    psi = cat_state_vector(spec, rho.dim - 1)
+    psi = cat_state_vector(spec, len(rho.entries) - 1)
     f = float(np.real(psi.conj() @ rho.entries @ psi))
     if f > 1.0 + 1e-9:
         raise ValueError(f"fidelity {f!r} above 1")
@@ -302,13 +288,23 @@ def mixture_to_fock(mixture: CatMixture, n_max: Optional[int] = None) -> FockDen
     return FockDensity(rho, (n_max + 1,))
 
 
+def mixture_fidelity(mixture: CatMixture, spec: CatSpec) -> float:
+    """Oracle fidelity of ``mixture`` to the cat in ``spec``: on the mixture's
+    own basis, enlarged to hold that cat only when the cat breaches there."""
+    try:
+        return oracle_fidelity(mixture_to_fock(mixture), spec)
+    except TruncationBreach:
+        n_max = required_n_max(mixture.amp, spec.alpha)
+        return oracle_fidelity(mixture_to_fock(mixture, n_max), spec)
+
+
 def coherent_pair_weights(rho: FockDensity, amp: complex) -> np.ndarray:
     """Coefficient matrix P of rho in the non-orthogonal pair {|amp>, |-amp>}.
 
     Solves rho = sum_ij P_ij |s_i><s_j| via P = G^-1 T G^-1 with
     T_ij = <s_i|rho|s_j>; used to read the cat coherence off an evolved state.
     """
-    n_max = rho.dim - 1
+    n_max = len(rho.entries) - 1
     vs = [coherent_to_fock(amp, n_max), coherent_to_fock(-complex(amp), n_max)]
     t = np.array([[vi.conj() @ rho.entries @ vj for vj in vs] for vi in vs])
     g = np.array([[np.vdot(vi, vj) for vj in vs] for vi in vs])
@@ -324,5 +320,5 @@ def extract_cat_coherence(rho: FockDensity, amp: complex) -> float:
 
 def coherent_fidelity(rho: FockDensity, amp: complex) -> float:
     """<amp|rho|amp> for a single-mode state."""
-    v = coherent_to_fock(amp, rho.dim - 1)
+    v = coherent_to_fock(amp, len(rho.entries) - 1)
     return float(np.real(v.conj() @ rho.entries @ v))

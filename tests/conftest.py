@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from catteleport.states import AtomLevel, TermState
+
+# Fixed draws, no per-example deadline and a stop at the first failing
+# example, so that a run of the suite is repeatable and its time bounded; a
+# test may still set its own max_examples.
+settings.register_profile("repeatable", derandomize=True, deadline=None, max_examples=100,
+                          report_multiple_bugs=False)
+settings.load_profile("repeatable")
 
 
 def fock_overlap(a: complex, b: complex, tail: float = 1e-14) -> complex:

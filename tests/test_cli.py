@@ -24,6 +24,13 @@ def read_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def _env():
+    """The environment of a ``python -m catteleport`` child that imports this tree."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
 class TestConfigParsing:
     def test_defaults(self):
         cfg = default_config()
@@ -75,6 +82,13 @@ class TestConfigParsing:
         assert code == 2
         err = capsys.readouterr().err
         assert all(k in err for k in keys), err
+
+    def test_frame_flag_equals_frame_key(self, tmp_path):
+        p = tmp_path / "lab.cfg"
+        p.write_text("frame = lab\n")
+        assert run_cli(tmp_path, "coeffs", "--frame", "lab") == \
+            run_cli(tmp_path, "coeffs", "--config", str(p))
+        assert run_cli(tmp_path, "coeffs", "--frame", "lab") != run_cli(tmp_path, "coeffs")
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -131,10 +145,12 @@ class TestExitCodes:
         ("alpha_im = 1e50\n", ["coeffs"], "out.csv", "alpha_im"),
         ("alpha_re = 40\n", ["fidelity", "--oracle"], "out.csv", "alpha_re"),
         ("beta_re = 20\n", ["protocol"], "out.csv", "beta_re"),
+        ("delta_Hz = -1e7\n", ["fidelity"], "out.csv", "delta_Hz = -Delta_Hz"),
+        ("", ["protocol", "--trials", "1000000000000000"], "out.csv", "--trials"),
     ], ids=["out_dir_missing", "nan_damping", "inf_t_max", "inf_alpha",
             "negative_trials", "negative_seed_key", "negative_seed_flag",
             "huge_alpha", "large_alpha_protocol", "huge_alpha_im", "alpha_40_oracle",
-            "large_beta"])
+            "large_beta", "detunings_cancel", "trials_beyond_memory"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, text, argv, out, name):
         p = tmp_path / "run.cfg"
         p.write_text(text)
@@ -157,16 +173,23 @@ class TestExitCodes:
         assert code == 3
         assert stage in err and "Traceback" not in err and "Warning" not in err, err
 
+    def test_oracle_check_over_step_budget_exits_2_at_once(self, tmp_path):
+        # 2.5e7 RK4 steps per time point: without a budget this runs for days
+        cfg = tmp_path / "fast_decay.cfg"
+        cfg.write_text("gamma11_inv_s = 1e-9\n")
+        proc = subprocess.run([sys.executable, "-m", "catteleport", "oracle-check",
+                               "--config", str(cfg), "--out", str(tmp_path / "out.csv")],
+                              capture_output=True, text=True, env=_env(), timeout=30)
+        assert proc.returncode == 2
+        assert all(k in proc.stderr for k in ("gamma11_inv_s", "gamma22_inv_s", "t_max_s"))
+
     def test_closed_stdout_pipe_exits_0_quietly(self, tmp_path):
         # the reader stops after the header, as `| head -1` does
         cfg = tmp_path / "long.cfg"
         cfg.write_text("n_points = 20000\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen([sys.executable, "-m", "catteleport", "coeffs",
                                  "--config", str(cfg)],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
         try:
             assert proc.stdout.readline().startswith(b"t,")
             proc.stdout.close()

@@ -75,14 +75,6 @@ class TestUFull:
             ref = expm(-p.as_matrix() * t)
             assert np.abs(u_full(p, t).as_array() - ref).max() < 1e-10
 
-    def test_branch_cut_invariance(self, rng):
-        for _ in range(100):
-            p = random_params(rng)
-            t = rng.uniform(0.0, 1e-3)
-            u_pos = u_full(p, t, s_sign=1).as_array()
-            u_neg = u_full(p, t, s_sign=-1).as_array()
-            assert np.abs(u_pos - u_neg).max() < 1e-12
-
     def test_degenerate_s_limit(self):
         # B = A and CD = 0 makes s vanish identically
         p = DrainParams(A=1j * 1e6 + 100.0, B=1j * 1e6 + 100.0, C=50.0, D=0.0)

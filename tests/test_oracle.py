@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from catteleport.errors import StepSizeRejected, TruncationBreach
+from catteleport.errors import NullState, StepSizeRejected, TruncationBreach
 from catteleport.fidelity import build_rho1, fidelity_at
 from catteleport.oracle import (
     FockDensity,
     LindbladSpec,
     _rhs_builder,
-    annihilation,
     cat_state_vector,
     coherent_fidelity,
     coherent_to_fock,
@@ -17,6 +16,7 @@ from catteleport.oracle import (
     dispersive_pi_fock,
     evolve_lindblad,
     extract_cat_coherence,
+    mixture_fidelity,
     mixture_to_fock,
     oracle_fidelity,
     required_n_max,
@@ -27,6 +27,10 @@ from conftest import fock_overlap
 
 INV = 1.0 / math.sqrt(2.0)
 GAMMA = 1.0e3
+
+
+def annihilation(dim):
+    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
 def number_op(dim):
@@ -178,23 +182,49 @@ class TestLindbladEvolution:
         with pytest.raises(StepSizeRejected):
             evolve_lindblad(rho, spec, 2e-4, dt_max=1e-4, verify_step=True)
 
-    @pytest.mark.parametrize("dims, gamma, diagonal_h", [
-        ((25,), [[GAMMA]], False),
-        ((16, 25), [[1.0e3, 0.0], [0.0, 1.1e3]], False),
-        ((5, 6), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], False),
-        ((16, 16), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], False),
-        ((5, 6), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], True),
+    @pytest.mark.parametrize("dims, gamma, energies", [
+        ((25,), [[GAMMA]], None),
+        ((16, 25), [[1.0e3, 0.0], [0.0, 1.1e3]], None),
+        ((5, 6), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], None),
+        ((16, 16), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], None),
+        ((5, 6), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], "random"),
+        # a detuning Delta * n_2 in the frame of mode 1
+        ((9, 11), [[1.0e3, 6.0e2], [6.0e2, 1.1e3]], "detuning"),
     ], ids=["one_mode_d25", "two_mode_16x25", "cross_5x6", "cross_16x16",
-            "cross_5x6_hamiltonian"])
-    def test_rhs_matches_dense_operators(self, dims, gamma, diagonal_h):
+            "cross_5x6_hamiltonian", "cross_9x11_detuning"])
+    def test_rhs_matches_dense_operators(self, dims, gamma, energies):
         rng = np.random.default_rng(4)
         dim = int(np.prod(dims))
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = x + x.conj().T
-        h = np.diag(rng.normal(scale=1.0e4, size=dim)) if diagonal_h else np.zeros((dim, dim))
-        spec = LindbladSpec(h.astype(complex), np.array(gamma), dims)
+        if energies is None:
+            e = np.zeros(dim)
+        elif energies == "random":
+            e = rng.normal(scale=1.0e4, size=dim)
+        else:
+            e = 2.0 * math.pi * 1.0e7 * np.tile(np.arange(dims[1]), dims[0])
+        spec = LindbladSpec(np.diag(e).astype(complex), np.array(gamma), dims)
         ref = dense_rhs(spec, rho)
-        assert np.abs(_rhs_builder(spec)(rho) - ref).max() <= 1e-13 * np.abs(ref).max()
+        out = _rhs_builder(spec)(rho)
+        if energies is None:   # no Hamiltonian: the same roundings as the dense form
+            assert np.array_equal(out, ref)
+        else:
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("entry", [(0, 1), (3, 2)], ids=["upper", "lower"])
+    def test_rejects_off_diagonal_hamiltonian(self, entry):
+        h = np.diag(np.arange(6.0)).astype(complex)
+        h[entry] = 1.0e-3
+        with pytest.raises(ValueError, match="hamiltonian"):
+            LindbladSpec(h, np.diag([GAMMA, GAMMA]), (2, 3))
+
+    @pytest.mark.parametrize("energy", [1.0 + 1.0j, math.nan, math.inf],
+                             ids=["complex", "nan", "inf"])
+    def test_rejects_non_real_hamiltonian_diagonal(self, energy):
+        h = np.zeros((4, 4), dtype=complex)
+        h[2, 2] = energy
+        with pytest.raises(ValueError, match="hamiltonian"):
+            LindbladSpec(h, np.array([[GAMMA]]), (4,))
 
     @pytest.mark.parametrize("h_dim, gamma, dims, key", [
         (5, [[GAMMA]], (4,), "hamiltonian"),
@@ -279,6 +309,20 @@ class TestAnalyticCrossChecks:
         p = coherent_pair_weights(rho, mix.amp)
         expected = mix.norm_const * mix.coefficient_matrix()
         assert np.abs(p - expected).max() < 1e-9
+
+    def test_mixture_fidelity_enlarges_basis_only_on_breach(self):
+        # the decayed mixture fits in 18 levels; the alpha = 2.5 target cat does not
+        spec, u = CatSpec(INV, INV, 2.5, 1), math.exp(-2.5)
+        mix = build_rho1(spec, u)
+        with pytest.raises(TruncationBreach):
+            oracle_fidelity(mixture_to_fock(mix), spec)
+        assert mixture_fidelity(mix, spec) == pytest.approx(fidelity_at(spec, u), abs=1e-9)
+        fit = build_rho1(spec, 0.8)
+        assert mixture_fidelity(fit, spec) == oracle_fidelity(mixture_to_fock(fit), spec)
+
+    def test_null_cat_vector_is_null_state(self):
+        with pytest.raises(NullState):
+            cat_state_vector(CatSpec(INV, INV, 0.0, -1), 20)
 
     def test_mixture_density_is_valid(self):
         mix = build_rho1(CatSpec(INV, INV, 1.5, 1), 0.6)
