@@ -9,16 +9,18 @@ Exit codes: 0 success, 2 config error, 3 invariant breach, 4 truncation breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig, default_config, load_config
-from .dynamics import decoherence_Z, drain_params, to_rotating_frame, u_full, u_simplified
+from .dynamics import coefficient_grid, decoherence_Z, u_simplified
 from .errors import CatTeleportError, ConfigError, ConsistencyError, TruncationBreach
 from .fidelity import build_rho1, fidelity, fidelity_curve
 from .oracle import (
@@ -43,12 +45,9 @@ EXIT_TRUNCATION = 4
 ORACLE_MAX_STEPS = 1000
 # Most protocol runs --trials may sample: each takes about 30 bytes at once.
 MAX_TRIALS = 10 ** 6
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+# CSV rows formatted and written per call: one string per block, not per run,
+# keeps the output's peak memory small.
+ROW_BLOCK = 512
 
 
 def _load(args) -> RunConfig:
@@ -66,29 +65,28 @@ def _load(args) -> RunConfig:
 
 
 def cmd_coeffs(cfg: RunConfig, args):
-    ms = cfg.mode_system()
-    p = drain_params(ms)
     times = np.linspace(0.0, cfg.t_max_s, cfg.n_points)
+    try:
+        full, simp = coefficient_grid(cfg.mode_system(), times, cfg.rotating_frame)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"{exc}; the time grid runs to t_max_s = {cfg.t_max_s!r}") from None
     header = ["t"]
     for tag in ("full", "simp"):
         for name in ("u11", "u12", "u21", "u22"):
             header += [f"{name}_{tag}_re", f"{name}_{tag}_im"]
     header.append("deviation")
-    rows = []
-    for t in times:
-        t = float(t)
-        full = u_full(p, t)
-        if cfg.rotating_frame:
-            full = to_rotating_frame(full, ms, t)
-        simp = u_simplified(ms, t, rotating_frame=cfg.rotating_frame)
-        zs = [z for u in (full, simp) for z in (u.u11, u.u12, u.u21, u.u22)]
-        dev = max(abs(a - b) for a, b in zip(zs[:4], zs[4:]))
-        row = [t]
-        for z in zs:
-            row += [complex(z).real, complex(z).imag]
-        row.append(dev)
-        rows.append(row)
-    return header, rows, True
+    diff = full - simp
+    dist = np.hypot(diff.real, diff.imag)     # abs() of each entry
+    dev = dist[0]
+    for d in dist[1:]:                         # max(): a NaN counts only when it comes first
+        dev = np.where(d > dev, d, dev)
+    zs = np.concatenate([full, simp])
+    table = np.empty((len(times), 2 * len(zs) + 2))
+    table[:, 0] = times
+    table[:, 1:-1:2] = zs.real.T
+    table[:, 2:-1:2] = zs.imag.T
+    table[:, -1] = dev
+    return header, table.tolist(), True
 
 
 def cmd_protocol(cfg: RunConfig, args):
@@ -134,13 +132,11 @@ def cmd_fidelity(cfg: RunConfig, args):
     header = ["t", "F_analytic"]
     if args.oracle:
         header += ["F_oracle", "abs_dF"]
-    rows = []
-    for t, f, u11 in zip(curve.times, curve.values, curve.u11):
-        row = [float(t), float(f)]
-        if args.oracle:
-            f_or = mixture_fidelity(build_rho1(spec, complex(u11)), spec)
-            row += [f_or, abs(f_or - float(f))]
-        rows.append(row)
+    rows = np.column_stack([curve.times, curve.values]).tolist()
+    if args.oracle:
+        for row, u11 in zip(rows, curve.u11.tolist()):
+            f_or = mixture_fidelity(build_rho1(spec, u11), spec)
+            row += [f_or, abs(f_or - row[1])]
     return header, rows, True
 
 
@@ -155,9 +151,7 @@ def cmd_figure2(cfg: RunConfig, args):
                   spectator_phase_on=False)
     curves = [_curve(replace(cfg, alpha_re=a, alpha_im=0.0))[1] for a in FIGURE2_ALPHAS]
     header = ["t"] + [f"F_alpha_{a}" for a in FIGURE2_ALPHAS]
-    rows = []
-    for i, t in enumerate(curves[0].times):
-        rows.append([float(t)] + [float(c.values[i]) for c in curves])
+    rows = np.column_stack([curves[0].times] + [c.values for c in curves]).tolist()
     return header, rows, True
 
 
@@ -197,7 +191,13 @@ def cmd_oracle_check(cfg: RunConfig, args):
                    1.0 - coherent_fidelity(evolved, u11 * alpha), 1e-6)]
         if cross:
             evolved_cat = evolve_lindblad(rho_cat, lspec, t, dt_max)
-            z_oracle = extract_cat_coherence(evolved_cat, u11 * alpha)
+            try:
+                z_oracle = extract_cat_coherence(evolved_cat, u11 * alpha)
+            except ConsistencyError as exc:
+                raise ConsistencyError(
+                    f"decoherence_Z at t={t!r}: {exc}; c_plus = {cfg.c_plus!r} and "
+                    f"c_minus = {cfg.c_minus!r} leave one cat component too weak to "
+                    "check") from None
             z_ana = decoherence_Z(alpha, abs(u11))
             checks.append(("decoherence_Z",
                            abs(z_oracle - math.copysign(z_ana, cross)) / z_ana, 1e-4))
@@ -210,7 +210,9 @@ def cmd_oracle_check(cfg: RunConfig, args):
     return ["check", "t", "value", "threshold", "status"], rows, ok
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; ``run`` names the command."""
     parser = argparse.ArgumentParser(
         prog="catteleport",
         description="Cat-state teleportation in a lossy bimodal cavity: "
@@ -218,17 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # the commands are looked up here, at call time, so that a replaced
-    # module attribute (a test double, a tracing wrapper) is the one that runs
-    for name, run, help_text in (
-        ("coeffs", cmd_coeffs, "u_ij(t) coefficients, full vs simplified"),
-        ("protocol", cmd_protocol, "four-branch teleportation report"),
-        ("fidelity", cmd_fidelity, "fidelity-vs-time CSV"),
-        ("figure2", cmd_figure2, "four fidelity curves at reference defaults"),
-        ("oracle-check", cmd_oracle_check, "analytic vs Lindblad-oracle report"),
+    for name, help_text in (
+        ("coeffs", "u_ij(t) coefficients, full vs simplified"),
+        ("protocol", "four-branch teleportation report"),
+        ("fidelity", "fidelity-vs-time CSV"),
+        ("figure2", "four fidelity curves at reference defaults"),
+        ("oracle-check", "analytic vs Lindblad-oracle report"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
+        p.set_defaults(run="cmd_" + name.replace("-", "_"))
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, help="override RNG seed")
@@ -241,6 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_csv(out, header, rows) -> None:
+    """Header and rows as CSV: floats as %.17g, anything else as str().
+
+    One %-template serves every row; it is built from the first row, since
+    each command gives a column the same type in every row.
+    """
+    out.write(",".join(header) + "\n")
+    if not rows:
+        return
+    template = ",".join("%.17g" if isinstance(v, (float, np.floating)) else "%s"
+                        for v in rows[0]) + "\n"
+    for i in range(0, len(rows), ROW_BLOCK):
+        block = rows[i:i + ROW_BLOCK]
+        out.write((template * len(block)) % tuple(chain.from_iterable(block)))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -250,11 +266,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
         try:
-            header, rows, ok = args.run(cfg, args)
+            # looked up now, so that a replaced module attribute (a test
+            # double, a tracing wrapper) is the one that runs
+            header, rows, ok = globals()[args.run](cfg, args)
             try:
-                out.write(",".join(header) + "\n")
-                for row in rows:
-                    out.write(",".join(_fmt(v) for v in row) + "\n")
+                _write_csv(out, header, rows)
                 out.flush()
             except BrokenPipeError:
                 # the reader closed stdout early (`| head`); nothing is left to

@@ -108,7 +108,12 @@ class RunConfig:
         if self.Delta_Hz + self.delta_Hz == 0.0:
             raise ConfigError("delta_Hz = -Delta_Hz: the spectator phase "
                               "pi * delta_Hz / (Delta_Hz + delta_Hz) divides by zero")
-        return default_spectator_phase(self.delta_Hz, self.Delta_Hz)
+        phase = default_spectator_phase(self.delta_Hz, self.Delta_Hz)
+        if not math.isfinite(phase):
+            raise ConfigError(f"delta_Hz = {self.delta_Hz!r} and Delta_Hz = {self.Delta_Hz!r} "
+                              f"overflow the spectator phase pi * delta_Hz / (Delta_Hz + "
+                              f"delta_Hz) to {phase!r}")
+        return phase
 
     def mode_system(self) -> ModeSystem:
         omega1 = TWO_PI * self.omega1_Hz

@@ -62,9 +62,6 @@ class DrainParams:
     C: complex
     D: complex
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.A, self.C], [self.D, self.B]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class EvolutionMatrix:
@@ -106,12 +103,12 @@ def u_full(p: DrainParams, t: float) -> EvolutionMatrix:
     if t < 0.0:
         raise ValueError("t must be non-negative")
     h = 0.5 * t
-    pref = cmath.exp(-(p.A + p.B) * h)
     try:
+        pref = cmath.exp(-(p.A + p.B) * h)
         s = cmath.sqrt((p.B - p.A) ** 2 + 4.0 * p.C * p.D)
         ch = cmath.cosh(s * h)
         shc = _sinhc(s * h)  # sinh(s t/2) / (s t/2); finite in the degenerate limit
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:   # cmath's range and domain errors
         raise ConsistencyError(f"u_full overflows at t={t!r}: {exc}") from None
     return EvolutionMatrix(
         u11=pref * (ch + (p.B - p.A) * h * shc),
@@ -150,6 +147,99 @@ def to_rotating_frame(u: EvolutionMatrix, sys: ModeSystem, t: float) -> Evolutio
     p1 = cmath.exp(1j * sys.omega1 * t)
     p2 = cmath.exp(1j * sys.omega2 * t)
     return EvolutionMatrix(u.u11 * p1, u.u12 * p1, u.u21 * p2, u.u22 * p2)
+
+
+# cmath.cosh and cmath.sinh switch to a scaled formula past |Re z| = log(DBL_MAX / 4);
+# libm's ccosh and csinh, which numpy calls, switch elsewhere
+_CMATH_LARGE = math.log(np.finfo(float).max / 4.0)
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b rounded as CPython rounds it; numpy's complex product may fuse a
+    multiply-add.  A float or int factor x stands for complex(x, 0.0), as
+    CPython 3.11 promotes it."""
+    z = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    z.real = a.real * b.real - a.imag * b.imag
+    z.imag = a.real * b.imag + a.imag * b.real
+    return z
+
+
+def _cdiv(a, b) -> np.ndarray:
+    """a / b for a nonzero b, rounded as CPython 3.11's _Py_c_quot (Smith's
+    method); numpy's complex quotient differs in the last bit.  A float b
+    stands for complex(b, 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):   # the branch np.where drops
+        ratio = np.where(by_re, bi / br, br / bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    z = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    z.real = np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom
+    z.imag = np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom
+    return z
+
+
+def _exp_rate(rate: complex, times: np.ndarray) -> np.ndarray:
+    """cmath.exp(rate * t) for every t in ``times``, bit for bit where it is
+    finite, for a rate whose real part is not positive: complex np.exp then
+    rounds as cmath.exp.  Where cmath.exp raises, the value is not finite."""
+    return np.exp(_cmul(rate, times))
+
+
+def coefficient_grid(sys: ModeSystem, times: np.ndarray,
+                     rotating_frame: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """u_full and u_simplified at every t >= 0 in ``times`` in one numpy pass.
+
+    Returns two (4, n) arrays whose rows are u11, u12, u21, u22; with
+    ``rotating_frame`` the full matrix is taken through to_rotating_frame.
+    Column i equals the scalar functions at float(times[i]) bit for bit: the
+    grid repeats their complex arithmetic operation by operation.  The points
+    where a value is not finite, or where cmath.cosh takes its scaled formula,
+    are evaluated by the scalar functions themselves, and the first of them
+    where one raises raises ConsistencyError.
+    """
+    p = drain_params(sys)
+    h = 0.5 * times
+    with np.errstate(all="ignore"):
+        try:
+            s = cmath.sqrt((p.B - p.A) ** 2 + 4.0 * p.C * p.D)
+        except OverflowError:
+            s = cmath.nan   # every point is then left to u_full, which raises
+        sh = _cmul(s, h)
+        pref = _exp_rate(-(p.A + p.B), h)
+        z2 = _cmul(sh, sh)   # _sinhc(sh), both branches
+        series = 1.0 + _cdiv(z2, 6.0) + _cdiv(_cmul(z2, z2), 120.0)
+        shc = np.where(np.hypot(sh.real, sh.imag) < 1e-4, series, _cdiv(np.sinh(sh), sh))
+        ch = np.cosh(sh)
+        neg2 = _cmul(-pref, 2.0)
+        full = np.stack([_cmul(pref, ch + _cmul(_cmul(p.B - p.A, h), shc)),
+                         _cmul(_cmul(_cmul(neg2, p.C), h), shc),
+                         _cmul(_cmul(_cmul(neg2, p.D), h), shc),
+                         _cmul(pref, ch + _cmul(_cmul(p.A - p.B, h), shc))])
+        if rotating_frame:
+            full[:2] = _cmul(full[:2], _exp_rate(1j * sys.omega1, times))
+            full[2:] = _cmul(full[2:], _exp_rate(1j * sys.omega2, times))
+        w1 = 0.0 if rotating_frame else sys.omega1
+        w2 = 0.0 if rotating_frame else sys.omega2
+        gbar = sys.mean_damping_rate
+        simp = np.zeros_like(full)
+        simp[0] = _exp_rate(-0.5 * gbar - 1j * w1, times)
+        simp[3] = _exp_rate(-0.5 * gbar - 1j * w2, times)
+    suspect = (~np.isfinite(full).all(axis=0) | ~np.isfinite(simp).all(axis=0)
+               | (np.abs(sh.real) > _CMATH_LARGE))
+    for i in np.flatnonzero(suspect):
+        t = float(times[i])
+        u = u_full(p, t)
+        try:
+            if rotating_frame:
+                u = to_rotating_frame(u, sys, t)
+            v = u_simplified(sys, t, rotating_frame=rotating_frame)
+        except ValueError as exc:   # cmath's domain error once |omega_j t| overflows
+            raise ConsistencyError(f"free-evolution phases overflow at t={t!r}: {exc}") from None
+        full[:, i] = u.u11, u.u12, u.u21, u.u22
+        simp[:, i] = v.u11, v.u12, v.u21, v.u22
+    return full, simp
 
 
 def decoherence_Z(alpha0: complex, u11_mag: float) -> float:

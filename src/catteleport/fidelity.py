@@ -13,12 +13,11 @@ coefficients are kept so arbitrary input cats are supported.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModeSystem, decoherence_Z
+from .dynamics import ModeSystem, _cmul, _exp_rate, decoherence_Z
 from .errors import NullState
 from .states import NULL_NORM_TOL, CatSpec, overlap
 
@@ -32,30 +31,6 @@ class CatMixture:
     w_mm: float
     coh: complex
     norm_const: float
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """2x2 coefficient matrix P with rho = N sum_ij P_ij |s_i><s_j|."""
-        return np.array(
-            [[self.w_pp, self.coh], [np.conj(self.coh), self.w_mm]], dtype=complex
-        )
-
-    def gram(self) -> np.ndarray:
-        g = overlap(self.amp, -self.amp)
-        return np.array([[1.0, g], [np.conj(g), 1.0]], dtype=complex)
-
-    def trace(self) -> float:
-        return self.norm_const * np.trace(self.gram() @ self.coefficient_matrix()).real
-
-    def is_physical(self) -> bool:
-        """Unit trace and positive semidefiniteness of the density operator."""
-        if abs(self.trace() - 1.0) > 1e-12:
-            return False
-        g = self.gram()
-        # rho >= 0  iff  sqrt(G) P sqrt(G) >= 0 in the coherent pair basis
-        w, v = np.linalg.eigh(g)
-        sq = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        eig = np.linalg.eigvalsh(sq @ self.coefficient_matrix() @ sq)
-        return bool(eig.min() >= -1e-10)
 
 
 @dataclass(frozen=True)
@@ -107,16 +82,6 @@ def fidelity(spec: CatSpec, mixture: CatMixture) -> float:
 def fidelity_at(spec: CatSpec, u11: complex) -> float:
     """Fidelity of the damped mixture at ``u11`` against the fixed t=0 target."""
     return fidelity(spec, build_rho1(spec, u11))
-
-
-def _cmul(a, b) -> np.ndarray:
-    """a * b rounded as CPython rounds it; numpy's complex product may fuse a
-    multiply-add.  A float or int factor x stands for complex(x, 0.0), as
-    CPython 3.11 promotes it."""
-    z = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    z.real = a.real * b.real - a.imag * b.imag
-    z.imag = a.real * b.imag + a.imag * b.real
-    return z
 
 
 def _overlap(a, b, a_sq, b_sq) -> np.ndarray:
@@ -173,7 +138,7 @@ def fidelity_curve(spec: CatSpec, sys: ModeSystem, t_max: float, n_points: int,
     w1 = 0.0 if rotating_frame else sys.omega1
     rate = -0.5 * sys.mean_damping_rate - 1j * w1   # u_simplified's u11 = exp(rate t)
     with np.errstate(invalid="ignore"):   # an infinite rate gives NaN at t = 0: rejected
-        u11 = _cmul(np.exp(_cmul(rate, times)), cmath.exp(1j * spectator_phase))
+        u11 = _cmul(_exp_rate(rate, times), cmath.exp(1j * spectator_phase))
     values = _curve_values(spec, u11)
     balanced_even_real = (
         spec.parity_sign == 1

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import NullState, StepSizeRejected, TruncationBreach
+from .errors import ConsistencyError, NullState, StepSizeRejected, TruncationBreach
 from .fidelity import CatMixture
 from .states import CatSpec
 
@@ -313,9 +313,17 @@ def coherent_pair_weights(rho: FockDensity, amp: complex) -> np.ndarray:
 
 
 def extract_cat_coherence(rho: FockDensity, amp: complex) -> float:
-    """Estimate Z from an evolved balanced cat: Re P01 / sqrt(P00 P11)."""
+    """Estimate Z from an evolved balanced cat: Re P01 / sqrt(P00 P11).
+
+    Raises ConsistencyError when P00 P11 is not positive, as when one cat
+    component's weight is lost to rounding.
+    """
     p = coherent_pair_weights(rho, amp)
-    return float(p[0, 1].real / math.sqrt(p[0, 0].real * p[1, 1].real))
+    p00, p11 = float(p[0, 0].real), float(p[1, 1].real)
+    if not p00 * p11 > 0.0:
+        raise ConsistencyError(f"pair weights P00 = {p00!r} and P11 = {p11!r} "
+                               "leave the cat coherence undefined")
+    return float(p[0, 1].real / math.sqrt(p00 * p11))
 
 
 def coherent_fidelity(rho: FockDensity, amp: complex) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from catteleport.states import AtomLevel, TermState
+from catteleport.states import AtomLevel, TermState, overlap
 
 # Fixed draws, no per-example deadline and a stop at the first failing
 # example, so that a run of the suite is repeatable and its time bounded; a
@@ -58,6 +58,37 @@ def assert_terms_match(state: TermState, expected, tol: float = 1e-12):
                 f"missing term ({w!r}, {atom}, {a1!r}, {a2!r}); state has {state.terms}"
             )
     assert not remaining, f"unexpected extra terms: {remaining}"
+
+
+def drain_matrix(p) -> np.ndarray:
+    """M = [[A, C], [D, B]] of ``DrainParams`` p, so that u(t) = expm(-M t)."""
+    return np.array([[p.A, p.C], [p.D, p.B]], dtype=complex)
+
+
+def coefficient_matrix(mix) -> np.ndarray:
+    """2x2 coefficient matrix P of a ``CatMixture``: rho = N sum_ij P_ij |s_i><s_j|
+    on the coherent pair s = (|amp>, |-amp>)."""
+    return np.array([[mix.w_pp, mix.coh], [np.conj(mix.coh), mix.w_mm]], dtype=complex)
+
+
+def _gram(mix) -> np.ndarray:
+    g = overlap(mix.amp, -mix.amp)
+    return np.array([[1.0, g], [np.conj(g), 1.0]], dtype=complex)
+
+
+def mixture_trace(mix) -> float:
+    return mix.norm_const * np.trace(_gram(mix) @ coefficient_matrix(mix)).real
+
+
+def is_physical(mix) -> bool:
+    """Unit trace and positive semidefiniteness of a ``CatMixture``'s density."""
+    if abs(mixture_trace(mix) - 1.0) > 1e-12:
+        return False
+    w, v = np.linalg.eigh(_gram(mix))
+    # rho >= 0  iff  sqrt(G) P sqrt(G) >= 0 in the coherent pair basis
+    sq = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    eig = np.linalg.eigvalsh(sq @ coefficient_matrix(mix) @ sq)
+    return bool(eig.min() >= -1e-10)
 
 
 @pytest.fixture

@@ -43,6 +43,8 @@ from catteleport.protocol import (
 )
 from catteleport.states import AtomLevel, CatSpec, state_overlap
 
+from conftest import drain_matrix
+
 INV = 1.0 / math.sqrt(2.0)
 GAMMA11 = 1.0e3
 GAMMA22 = 1.0 / 0.9e-3
@@ -85,7 +87,7 @@ def test_acceptance_1_matrix_exponential_equivalence():
             D=rng.uniform(-1e3, 1e3) + 1j * rng.uniform(-1e3, 1e3),
         )
         t = rng.uniform(0.0, 1e-3)
-        dev = np.abs(u_full(p, t).as_array() - expm(-p.as_matrix() * t)).max()
+        dev = np.abs(u_full(p, t).as_array() - expm(-drain_matrix(p) * t)).max()
         worst = max(worst, dev)
     elapsed = time.perf_counter() - start
     report(1, "matrix-exponential equivalence", worst < 1e-10 and elapsed < 5.0)

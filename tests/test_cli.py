@@ -2,15 +2,21 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from catteleport.cli import main
-from catteleport.config import default_config, load_config, parse_config
-from catteleport.errors import ConfigError
+from catteleport import cli, dynamics
+from catteleport.cli import _write_csv, build_parser, cmd_coeffs, main
+from catteleport.config import RunConfig, default_config, load_config, parse_config
+from catteleport.dynamics import drain_params, to_rotating_frame, u_full, u_simplified
+from catteleport.errors import ConfigError, ConsistencyError
 
 
 def run_cli(tmp_path, *argv):
@@ -22,6 +28,57 @@ def run_cli(tmp_path, *argv):
 
 def read_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def bits(rows):
+    """The IEEE bit patterns of a float table, so that -0.0 != 0.0."""
+    return np.array(rows, dtype=float).view(np.int64)
+
+
+def coeffs_reference(cfg):
+    """cmd_coeffs' rows point by point through the scalar functions.
+
+    Returns the rows before the first point where a scalar function raises,
+    and that point's t (None when none raises).
+    """
+    ms = cfg.mode_system()
+    p = drain_params(ms)
+    rows = []
+    for t in np.linspace(0.0, cfg.t_max_s, cfg.n_points):
+        t = float(t)
+        try:
+            full = u_full(p, t)
+            if cfg.rotating_frame:
+                full = to_rotating_frame(full, ms, t)
+            simp = u_simplified(ms, t, rotating_frame=cfg.rotating_frame)
+        except (ConsistencyError, ValueError):   # u_full's, or cmath's domain error
+            return rows, t
+        zs = [z for u in (full, simp) for z in (u.u11, u.u12, u.u21, u.u22)]
+        dev = max(abs(a - b) for a, b in zip(zs[:4], zs[4:]))
+        row = [t]
+        for z in zs:
+            row += [complex(z).real, complex(z).imag]
+        row.append(dev)
+        rows.append(row)
+    return rows, None
+
+
+@st.composite
+def coeffs_configs(draw):
+    """Both frames, gamma12 = gamma21 up to the ModeSystem bound, 2-2000
+    points, and t_max_s * gamma_bar over decades, past where u_full overflows."""
+    inv11, inv22 = (10.0 ** draw(st.floats(-5.0, -1.0)) for _ in range(2))
+    rho = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    cross = rho * math.sqrt(1.0 / inv11 / inv22)
+    gbar = 0.5 * (1.0 / inv11 + 1.0 / inv22)
+    decades = draw(st.floats(-3.0, 4.0) | st.floats(4.0, 306.0))
+    try:
+        return RunConfig(gamma11_inv_s=inv11, gamma22_inv_s=inv22, gamma12=cross,
+                         gamma21=cross, Delta_Hz=10.0 ** draw(st.floats(2.0, 8.0)),
+                         t_max_s=10.0 ** decades / gbar, n_points=draw(st.integers(2, 2000)),
+                         frame=draw(st.sampled_from(["rotating", "lab"])))
+    except ConfigError:   # rho = 1 can round past gamma12 * gamma21 <= gamma11 * gamma22
+        return default_config()
 
 
 def _env():
@@ -147,10 +204,12 @@ class TestExitCodes:
         ("beta_re = 20\n", ["protocol"], "out.csv", "beta_re"),
         ("delta_Hz = -1e7\n", ["fidelity"], "out.csv", "delta_Hz = -Delta_Hz"),
         ("", ["protocol", "--trials", "1000000000000000"], "out.csv", "--trials"),
+        ("delta_Hz = 1.7e308\n", ["fidelity"], "out.csv", "delta_Hz"),
     ], ids=["out_dir_missing", "nan_damping", "inf_t_max", "inf_alpha",
             "negative_trials", "negative_seed_key", "negative_seed_flag",
             "huge_alpha", "large_alpha_protocol", "huge_alpha_im", "alpha_40_oracle",
-            "large_beta", "detunings_cancel", "trials_beyond_memory"])
+            "large_beta", "detunings_cancel", "trials_beyond_memory",
+            "spectator_phase_overflow"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, text, argv, out, name):
         p = tmp_path / "run.cfg"
         p.write_text(text)
@@ -159,19 +218,23 @@ class TestExitCodes:
         assert code == 2
         assert name in err and "Traceback" not in err, err
 
-    @pytest.mark.parametrize("text, argv, stage", [
-        ("gamma11_inv_s = 1e-9\n", ["coeffs"], "u_full overflows at t="),
-        ("gamma11_inv_s = 1e-300\n", ["coeffs"], "u_full overflows at t="),
-        ("gamma11_inv_s = 5e-324\n", ["fidelity"], "u11_mag"),
-    ], ids=["cosh_overflow", "square_overflow", "infinite_damping_rate"])
+    @pytest.mark.parametrize("text, argv, names", [
+        ("gamma11_inv_s = 1e-9\n", ["coeffs"], ["u_full overflows at t="]),
+        ("gamma11_inv_s = 1e-300\n", ["coeffs"], ["u_full overflows at t="]),
+        ("gamma11_inv_s = 5e-324\n", ["fidelity"], ["u11_mag"]),
+        ("t_max_s = 1e300\n", ["coeffs"], ["u_full overflows at t=", "t_max_s"]),
+        ("c_plus = 1e300\n", ["oracle-check"], ["decoherence_Z", "c_plus", "c_minus"]),
+    ], ids=["cosh_overflow", "square_overflow", "infinite_damping_rate",
+            "phase_overflow_before_t_max", "cat_coherence_lost_to_rounding"])
     def test_overflowing_rates_exit_3_naming_the_stage(self, tmp_path, capsys,
-                                                        text, argv, stage):
+                                                        text, argv, names):
         p = tmp_path / "run.cfg"
         p.write_text(text)
         code = main([*argv, "--config", str(p), "--out", str(tmp_path / "out.csv")])
         err = capsys.readouterr().err
         assert code == 3
-        assert stage in err and "Traceback" not in err and "Warning" not in err, err
+        assert all(n in err for n in names), err
+        assert "Traceback" not in err and "Warning" not in err, err
 
     def test_oracle_check_over_step_budget_exits_2_at_once(self, tmp_path):
         # 2.5e7 RK4 steps per time point: without a budget this runs for days
@@ -204,6 +267,29 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "protocol")
         assert code == 0
 
+    def test_parser_is_built_once_and_commands_are_looked_up_per_call(self, tmp_path,
+                                                                     monkeypatch):
+        build_parser.cache_clear()
+        assert run_cli(tmp_path, "protocol")[0] == 0
+        # a double installed after the parser exists is the one that runs
+        monkeypatch.setattr(cli, "cmd_coeffs", lambda cfg, args: (["t"], [[0.5]], True))
+        assert run_cli(tmp_path, "coeffs") == (0, "t\n0.5\n")
+        info = build_parser.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+
+def test_csv_writer_formats_each_value_by_its_type():
+    # more rows than one block; floats as %.17g, anything else as str()
+    rows = [["s", i, np.int64(-i), i / 7.0, np.float64(-i / 3.0)] for i in range(1100)]
+    rows += [["e", 0, np.int64(0), -0.0, np.float64("nan")],
+             ["f", 1, np.int64(1), math.inf, np.float64(5e-324)]]
+    out = io.StringIO()
+    _write_csv(out, ["a", "b", "c", "d", "e"], rows)
+    expected = "".join(
+        ",".join(format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v)
+                 for v in row) + "\n" for row in rows)
+    assert out.getvalue() == "a,b,c,d,e\n" + expected
+
 
 class TestCoeffsCommand:
     def test_initial_row_is_identity(self, tmp_path):
@@ -217,6 +303,50 @@ class TestCoeffsCommand:
         assert float(first["u12_full_re"]) == 0.0
         assert float(first["u11_simp_re"]) == 1.0
         assert float(first["deviation"]) == 0.0
+
+    @given(coeffs_configs())
+    @settings(max_examples=200)
+    # five points where cmath.cosh takes its scaled formula, which libm's ccosh
+    # does not, with every value finite
+    @example(RunConfig(gamma11_inv_s=1e-5, gamma22_inv_s=0.1, Delta_Hz=100.0,
+                       t_max_s=0.0284, n_points=2000))
+    # u_full is finite at t_max_s, the free-evolution phase of mode 2 is not
+    @example(RunConfig(gamma22_inv_s=1e-3, Delta_Hz=1e8, t_max_s=5.588678901378132e+296,
+                       n_points=2, frame="rotating"))
+    @example(RunConfig(gamma22_inv_s=1e-3, Delta_Hz=1e8, t_max_s=5.588678901378132e+296,
+                       n_points=2, frame="lab"))
+    def test_rows_equal_the_scalar_loop_bit_for_bit(self, cfg):
+        rows, failed_at = coeffs_reference(cfg)
+        if failed_at is not None:
+            # the grid stops at the same point, naming the stage and the key
+            with pytest.raises(ConsistencyError, match=re.escape(f"at t={failed_at!r}")) as exc:
+                cmd_coeffs(cfg, None)
+            assert "t_max_s" in str(exc.value)
+            return
+        header, got, ok = cmd_coeffs(cfg, None)
+        assert ok and len(header) == len(got[0])
+        assert (bits(got) == bits(rows)).all()
+
+    def test_makes_no_per_point_scalar_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(name, real):
+            def double(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return double
+
+        for module, name in ((dynamics, "u_full"), (dynamics, "to_rotating_frame"),
+                             (dynamics, "u_simplified"), (cli, "u_simplified")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        # a name imported into the cli module would bypass the dynamics doubles
+        assert not hasattr(cli, "u_full") and not hasattr(cli, "to_rotating_frame")
+        p = tmp_path / "cross.cfg"
+        p.write_text("gamma12 = 500\ngamma21 = 500\nn_points = 2000\n")
+        for frame in ("rotating", "lab"):
+            code, text = run_cli(tmp_path, "coeffs", "--config", str(p), "--frame", frame)
+            assert code == 0 and len(read_rows(text)) == 2000
+        assert calls == []
 
     def test_magnitudes_decay(self, tmp_path):
         _, text = run_cli(tmp_path, "coeffs")

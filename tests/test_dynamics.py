@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from catteleport.dynamics import (
     DrainParams,
+    _cdiv,
     ModeSystem,
     decoherence_Z,
     drain_params,
@@ -14,6 +15,8 @@ from catteleport.dynamics import (
     u_full,
     u_simplified,
 )
+
+from conftest import drain_matrix
 
 GAMMA11 = 1.0e3
 GAMMA22 = 1.0 / 0.9e-3
@@ -72,7 +75,7 @@ class TestUFull:
         for _ in range(300):
             p = random_params(rng, im_max=1e7)
             t = rng.uniform(0.0, 1e-3)
-            ref = expm(-p.as_matrix() * t)
+            ref = expm(-drain_matrix(p) * t)
             assert np.abs(u_full(p, t).as_array() - ref).max() < 1e-10
 
     def test_degenerate_s_limit(self):
@@ -80,7 +83,7 @@ class TestUFull:
         p = DrainParams(A=1j * 1e6 + 100.0, B=1j * 1e6 + 100.0, C=50.0, D=0.0)
         t = 5e-4
         u = u_full(p, t)
-        ref = expm(-p.as_matrix() * t)
+        ref = expm(-drain_matrix(p) * t)
         assert np.abs(u.as_array() - ref).max() < 1e-12
 
     def test_semigroup_property(self, rng):
@@ -175,7 +178,7 @@ class TestRotatingFrame:
         p = drain_params(sys)
         for t in rng.uniform(0.0, 1e-3, 50):
             ref = np.diag([cmath.exp(1j * sys.omega1 * t), cmath.exp(1j * sys.omega2 * t)])
-            ref = ref @ expm(-p.as_matrix() * t)
+            ref = ref @ expm(-drain_matrix(p) * t)
             got = to_rotating_frame(u_full(p, t), sys, t).as_array()
             assert np.abs(got - ref).max() < 1e-10
 
@@ -219,3 +222,19 @@ class TestModeSystemValidation:
     def test_rejects_inverted_frequencies(self):
         with pytest.raises(ValueError):
             ModeSystem(omega1=2.0, omega2=1.0, gamma11=1e3, gamma22=1e3)
+
+
+def test_complex_quotient_rounds_as_python(rng):
+    # signed zeros, units and values over many decades, as real and imaginary parts
+    pool = np.concatenate([[0.0, -0.0, 1.0, -1.0],
+                           rng.normal(size=400) * 10.0 ** rng.integers(-150, 151, 400)])
+    ar, ai, br, bi = (rng.choice(pool, 20_000).tolist() for _ in range(4))
+    pairs = [(complex(x, y), complex(u, v)) for x, y, u, v in zip(ar, ai, br, bi)
+             if (u, v) != (0.0, 0.0)]
+    a, b = (np.array(side) for side in zip(*pairs))
+    expected = [x / y for x, y in pairs]
+    assert (_cdiv(a, b).view(np.int64) == np.array(expected).view(np.int64)).all()
+    # a float divisor counts as complex(x, 0.0), as CPython 3.11 promotes it
+    for x in (6.0, 120.0, -0.0 or -1.5, br[0] or 1.0):
+        expected = [z / x for z in a.tolist()]
+        assert (_cdiv(a, x).view(np.int64) == np.array(expected).view(np.int64)).all()

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from catteleport import dynamics
 from catteleport import fidelity as fidelity_module
-from catteleport.dynamics import ModeSystem, u_simplified
+from catteleport.dynamics import ModeSystem, _cmul, u_simplified
 from catteleport.errors import NullState
 from catteleport.fidelity import (
     CatMixture,
-    _cmul,
     build_rho1,
     fidelity,
     fidelity_at,
     fidelity_curve,
 )
 from catteleport.states import CatSpec
+
+from conftest import is_physical, mixture_trace
 
 INV = 1.0 / math.sqrt(2.0)
 GAMMA11 = 1.0e3
@@ -74,16 +75,16 @@ class TestBuildRho1:
         mix = build_rho1(balanced_spec(1.0), 1.0)
         assert mix.amp == 1.0
         assert mix.coh == pytest.approx(0.5)
-        assert mix.is_physical()
+        assert is_physical(mix)
 
     def test_trace_is_one(self):
         for u in (1.0, 0.83, 0.3, 0.0):
             mix = build_rho1(balanced_spec(1.3), u)
-            assert mix.trace() == pytest.approx(1.0, abs=1e-13)
+            assert mixture_trace(mix) == pytest.approx(1.0, abs=1e-13)
 
     def test_positivity_under_decay(self):
         for u in np.linspace(0.0, 1.0, 21):
-            assert build_rho1(balanced_spec(1.5, parity=-1), float(u)).is_physical()
+            assert is_physical(build_rho1(balanced_spec(1.5, parity=-1), float(u)))
 
     def test_coherence_carries_decoherence_factor(self):
         alpha = 1.0
@@ -159,7 +160,7 @@ class TestFidelity:
         spec = CatSpec(0.8, 0.6, 1.2, -1)
         assert fidelity_at(spec, 1.0) == pytest.approx(1.0, abs=1e-12)
         mix = build_rho1(spec, 0.7)
-        assert mix.is_physical()
+        assert is_physical(mix)
         assert 0.0 < fidelity(spec, mix) < 1.0
 
 

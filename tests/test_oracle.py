@@ -23,7 +23,7 @@ from catteleport.oracle import (
 )
 from catteleport.states import CatSpec
 
-from conftest import fock_overlap
+from conftest import coefficient_matrix, fock_overlap
 
 INV = 1.0 / math.sqrt(2.0)
 GAMMA = 1.0e3
@@ -307,7 +307,7 @@ class TestAnalyticCrossChecks:
         mix = build_rho1(spec, 0.7)
         rho = mixture_to_fock(mix)
         p = coherent_pair_weights(rho, mix.amp)
-        expected = mix.norm_const * mix.coefficient_matrix()
+        expected = mix.norm_const * coefficient_matrix(mix)
         assert np.abs(p - expected).max() < 1e-9
 
     def test_mixture_fidelity_enlarges_basis_only_on_breach(self):
