@@ -9,6 +9,7 @@ is built; damping is given as inverse rates in seconds.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 from .dynamics import ModeSystem
@@ -22,6 +23,14 @@ TWO_PI = 2.0 * math.pi
 # of a few; at 10 the Fock oracle already needs ~200 levels per mode, past
 # ~38 exp(-|a|**2 / 2) underflows to 0 and past ~1e154 |a|**2 overflows.
 MAX_AMPLITUDE = 10.0
+# The config keys behind each ModeSystem field, named in its error messages.
+_MODE_SYSTEM_KEYS = {
+    "omega1": ("omega1_Hz",), "omega2": ("omega1_Hz", "Delta_Hz"),
+    "gamma11": ("gamma11_inv_s",), "gamma22": ("gamma22_inv_s",),
+    "gamma12": ("gamma12",), "gamma21": ("gamma21",),
+    "lamb11": ("lamb11_Hz",), "lamb22": ("lamb22_Hz",),
+    "lamb12": ("lamb12_Hz",), "lamb21": ("lamb21_Hz",),
+}
 
 
 @dataclass(frozen=True)
@@ -117,7 +126,7 @@ class RunConfig:
 
     def mode_system(self) -> ModeSystem:
         omega1 = TWO_PI * self.omega1_Hz
-        return ModeSystem(
+        values = dict(
             omega1=omega1,
             omega2=omega1 + TWO_PI * self.Delta_Hz,
             gamma11=1.0 / self.gamma11_inv_s,
@@ -129,6 +138,12 @@ class RunConfig:
             lamb12=TWO_PI * self.lamb12_Hz,
             lamb21=TWO_PI * self.lamb21_Hz,
         )
+        try:
+            return ModeSystem(**values)
+        except ValueError as exc:
+            keys = dict.fromkeys(key for name in values if re.search(rf"\b{name}\b", str(exc))
+                                 for key in _MODE_SYSTEM_KEYS[name])
+            raise ConfigError(f"{exc}; set by {', '.join(keys)}") from None
 
     def protocol_config(self) -> ProtocolConfig:
         norm = math.hypot(self.c_plus, self.c_minus)

@@ -41,6 +41,10 @@ class ModeSystem:
     lamb21: float = 0.0
 
     def __post_init__(self):
+        bad = [f"{name} = {value!r}" for name, value in vars(self).items()
+               if not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} not finite")
         if self.gamma11 <= 0.0 or self.gamma22 <= 0.0:
             raise ValueError("gamma11 and gamma22 must be positive")
         if self.gamma12 * self.gamma21 > self.gamma11 * self.gamma22:

@@ -91,6 +91,23 @@ def is_physical(mix) -> bool:
     return bool(eig.min() >= -1e-10)
 
 
+def validate_density(rho) -> None:
+    """Raise ValueError unless a ``FockDensity`` is finite, Hermitian, of unit
+    trace and positive semidefinite, and TruncationBreach unless its top
+    levels are empty."""
+    r = rho.entries
+    bad = np.count_nonzero(~np.isfinite(r))
+    if bad:
+        raise ValueError(f"density matrix has {bad} non-finite entries")
+    if not np.abs(r - r.conj().T).max() <= 1e-12:   # each check fails on NaN
+        raise ValueError("density matrix not Hermitian within 1e-12")
+    if not abs(np.trace(r).real - 1.0) <= 1e-10:
+        raise ValueError("trace deviates from 1 beyond 1e-10")
+    if not np.linalg.eigvalsh((r + r.conj().T) / 2).min() >= -1e-9:
+        raise ValueError("density matrix has a negative eigenvalue")
+    rho.check_truncation()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

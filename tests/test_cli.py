@@ -205,11 +205,20 @@ class TestExitCodes:
         ("delta_Hz = -1e7\n", ["fidelity"], "out.csv", "delta_Hz = -Delta_Hz"),
         ("", ["protocol", "--trials", "1000000000000000"], "out.csv", "--trials"),
         ("delta_Hz = 1.7e308\n", ["fidelity"], "out.csv", "delta_Hz"),
+        # finite keys whose angular frequency or rate is infinite
+        ("Delta_Hz = 1e308\n", ["coeffs"], "out.csv", "Delta_Hz"),
+        ("gamma11_inv_s = 5e-324\n", ["coeffs"], "out.csv", "gamma11_inv_s"),
+        ("gamma11_inv_s = 5e-324\n", ["fidelity"], "out.csv", "gamma11_inv_s"),
+        # the other ModeSystem checks name the keys behind the fields too
+        ("Delta_Hz = -1e7\n", ["coeffs"], "out.csv", "Delta_Hz"),
+        ("gamma12 = 2e3\ngamma21 = 2e3\n", ["coeffs"], "out.csv", "gamma11_inv_s"),
     ], ids=["out_dir_missing", "nan_damping", "inf_t_max", "inf_alpha",
             "negative_trials", "negative_seed_key", "negative_seed_flag",
             "huge_alpha", "large_alpha_protocol", "huge_alpha_im", "alpha_40_oracle",
             "large_beta", "detunings_cancel", "trials_beyond_memory",
-            "spectator_phase_overflow"])
+            "spectator_phase_overflow", "infinite_mode2_frequency",
+            "infinite_damping_rate_coeffs", "infinite_damping_rate",
+            "inverted_frequencies", "excess_cross_damping"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, text, argv, out, name):
         p = tmp_path / "run.cfg"
         p.write_text(text)
@@ -221,11 +230,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, argv, names", [
         ("gamma11_inv_s = 1e-9\n", ["coeffs"], ["u_full overflows at t="]),
         ("gamma11_inv_s = 1e-300\n", ["coeffs"], ["u_full overflows at t="]),
-        ("gamma11_inv_s = 5e-324\n", ["fidelity"], ["u11_mag"]),
         ("t_max_s = 1e300\n", ["coeffs"], ["u_full overflows at t=", "t_max_s"]),
         ("c_plus = 1e300\n", ["oracle-check"], ["decoherence_Z", "c_plus", "c_minus"]),
-    ], ids=["cosh_overflow", "square_overflow", "infinite_damping_rate",
-            "phase_overflow_before_t_max", "cat_coherence_lost_to_rounding"])
+    ], ids=["cosh_overflow", "square_overflow", "phase_overflow_before_t_max",
+            "cat_coherence_lost_to_rounding"])
     def test_overflowing_rates_exit_3_naming_the_stage(self, tmp_path, capsys,
                                                         text, argv, names):
         p = tmp_path / "run.cfg"

@@ -223,6 +223,14 @@ class TestModeSystemValidation:
         with pytest.raises(ValueError):
             ModeSystem(omega1=2.0, omega2=1.0, gamma11=1e3, gamma22=1e3)
 
+    @pytest.mark.parametrize("field", ["omega2", "gamma11", "gamma12", "lamb21"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_field(self, field, value):
+        fields = dict(omega1=1.0, omega2=2.0, gamma11=1e3, gamma22=1e3)
+        fields[field] = value
+        with pytest.raises(ValueError, match=rf"{field} = {value!r} not finite"):
+            ModeSystem(**fields)
+
 
 def test_complex_quotient_rounds_as_python(rng):
     # signed zeros, units and values over many decades, as real and imaginary parts

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from catteleport.errors import NullState, StepSizeRejected, TruncationBreach
 from catteleport.fidelity import build_rho1, fidelity_at
+from catteleport import oracle
 from catteleport.oracle import (
     FockDensity,
     LindbladSpec,
+    _integrate,
     _rhs_builder,
     cat_state_vector,
     coherent_fidelity,
@@ -23,7 +26,7 @@ from catteleport.oracle import (
 )
 from catteleport.states import CatSpec
 
-from conftest import coefficient_matrix, fock_overlap
+from conftest import coefficient_matrix, fock_overlap, validate_density
 
 INV = 1.0 / math.sqrt(2.0)
 GAMMA = 1.0e3
@@ -54,6 +57,113 @@ def dense_rhs(spec, rho):
     return out
 
 
+_LOW, _HIGH = slice(None, -1), slice(1, None)   # Fock levels 0..d-2 and 1..d-1
+
+
+def reference_rhs_builder(spec):
+    """The slice-based RHS that the row-block kernel replaced, kept as its
+    bit-for-bit reference: rho viewed with shape ``mode_dims + mode_dims``,
+    each product a one-level slice move of that tensor, written only where
+    the truncation allows the move."""
+    dims = spec.mode_dims
+    k = len(dims)
+    shape = dims + dims
+    energies = np.diagonal(spec.hamiltonian).real
+    phase = (-1j * (energies[:, None] - energies)).reshape(shape) if energies.any() else None
+    roots = [np.sqrt(np.arange(d, dtype=float)) for d in dims]
+
+    def move(*steps):
+        dst, src = [slice(None)] * (2 * k), [slice(None)] * (2 * k)
+        for axis, step in steps:
+            dst[axis], src[axis] = (_LOW, _HIGH) if step < 0 else (_HIGH, _LOW)
+        return tuple(dst), tuple(src)
+
+    def along(axis, values):
+        layout = [1] * (2 * k)
+        layout[axis] = values.size
+        return values.reshape(layout)
+
+    terms = []
+    for j in range(k):
+        for jp in range(k):
+            rate = spec.gamma_matrix[j, jp]
+            if rate == 0.0:
+                continue
+            up_j, up_jp = roots[j][1:], roots[jp][1:]
+            jump = (move((jp, -1), (k + j, -1)), along(jp, up_jp), along(k + j, up_j))
+            if j == jp:
+                n = roots[j] * roots[j]
+                left, right = (move(), along(j, n)), (move(), along(k + j, n))
+            else:
+                left = (move((j, +1), (jp, -1)), along(j, up_j) * along(jp, up_jp))
+                right = (move((k + j, -1), (k + jp, +1)),
+                         along(k + j, up_j) * along(k + jp, up_jp))
+            terms.append((rate, j == jp, jump, left, right))
+
+    work, scratch = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+
+    def rhs(rho):
+        r = rho.reshape(shape)
+        out = np.zeros(shape, dtype=complex) if phase is None else r * phase
+        for rate, diagonal, jump, left, right in terms:
+            if not diagonal:
+                work.fill(0.0)
+            (dst, src), coef = left
+            np.multiply(coef, r[src], out=work[dst])
+            (dst, src), coef = right
+            np.multiply(r[src], coef, out=scratch[dst])
+            work[dst] += scratch[dst]
+            np.multiply(work, -0.5, out=work)
+            (dst, src), rows, cols = jump
+            np.multiply(rows, r[src], out=scratch[dst])
+            scratch[dst] *= cols
+            work[dst] += scratch[dst]
+            np.multiply(work, rate, out=work)
+            out += work
+        return out.reshape(rho.shape)
+
+    return rhs
+
+
+def reference_integrate(rho, rhs, t, n_steps):
+    """The RK4 loop that allocates each intermediate, the reference of
+    ``oracle._integrate``."""
+    dt = t / n_steps
+    r = rho.copy()
+    for _ in range(n_steps):
+        k1 = rhs(r)
+        k2 = rhs(r + 0.5 * dt * k1)
+        k3 = rhs(r + 0.5 * dt * k2)
+        k4 = rhs(r + dt * k3)
+        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        r = 0.5 * (r + r.conj().T)
+    return r
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of every zero."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def cat_density(dims):
+    """An even cat per mode: every odd-level amplitude is an exact zero."""
+    psi = np.ones(1)
+    for j, d in enumerate(dims):
+        a = 0.6 * (1j if j else 1.0)
+        psi = np.kron(psi, coherent_to_fock(a, d - 1) + coherent_to_fock(-a, d - 1))
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi.conj())
+
+
+def random_hermitian(dim, seed=4):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return x + x.conj().T
+
+
+CROSS = [[1.0e3, 6.0e2], [6.0e2, 1.1e3]]
+
+
 class TestFockBasics:
     def test_vacuum_coefficient(self):
         c = coherent_to_fock(1.0, 40)
@@ -81,7 +191,7 @@ class TestFockBasics:
     def test_density_validation(self):
         dim = required_n_max(0.8) + 1
         rho = FockDensity.from_vector(coherent_to_fock(0.8, dim - 1), (dim,))
-        rho.validate()
+        validate_density(rho)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_validation_counts_non_finite_entries(self, bad):
@@ -89,7 +199,7 @@ class TestFockBasics:
         rho = FockDensity.from_vector(coherent_to_fock(0.8, dim - 1), (dim,))
         rho.entries[0, 1] = rho.entries[1, 0] = rho.entries[2, 2] = bad
         with pytest.raises(ValueError, match="3 non-finite entries"):
-            rho.validate()
+            validate_density(rho)
 
     def test_truncation_check_fails_on_nan(self):
         with pytest.raises(TruncationBreach, match="nan"):
@@ -265,6 +375,81 @@ class TestLindbladEvolution:
                          np.array([[1.0, 3.0], [3.0, 1.0]]), (2, 2))
 
 
+class TestRowBlockKernels:
+    """The row-block RHS and the preallocated RK4 loop against the kernels
+    they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("dims, gamma", [
+        ((25,), [[GAMMA]]),
+        ((16, 16), CROSS),
+        ((25, 16), CROSS),
+        ((25, 25), CROSS),
+        ((16, 25), [[1.0e3, 0.0], [0.0, 1.1e3]]),
+    ], ids=["one_mode_d25", "cross_16x16", "cross_25x16", "cross_25x25", "plain_16x25"])
+    @pytest.mark.parametrize("hamiltonian", [False, True], ids=["h0", "h"])
+    @pytest.mark.parametrize("rows", [None, 7], ids=["default_blocks", "blocks_of_7_rows"])
+    def test_rhs_bits_equal_reference(self, monkeypatch, dims, gamma, hamiltonian, rows):
+        dim = int(np.prod(dims))
+        if rows is not None:   # several blocks, the last one short
+            monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", rows * dim)
+        e = np.random.default_rng(5).normal(scale=1.0e4, size=dim) if hamiltonian else np.zeros(dim)
+        spec = LindbladSpec(np.diag(e).astype(complex), np.array(gamma), dims)
+        rhs, ref = _rhs_builder(spec), reference_rhs_builder(spec)
+        for rho in (random_hermitian(dim), cat_density(dims)):
+            assert same_bits(rhs(rho), ref(rho))
+            out = np.full((dim, dim), np.nan, dtype=complex)   # a reused buffer is overwritten
+            assert rhs(rho, out) is out and same_bits(out, ref(rho))
+
+    @pytest.mark.parametrize("dims, gamma, hamiltonian", [
+        ((25,), [[GAMMA]], False),
+        ((16, 16), CROSS, False),
+        ((9, 11), CROSS, True),
+    ], ids=["one_mode_d25", "cross_16x16", "cross_9x11_hamiltonian"])
+    @pytest.mark.parametrize("n_steps", [1, 9])
+    def test_integrate_bits_equal_reference(self, dims, gamma, hamiltonian, n_steps):
+        dim = int(np.prod(dims))
+        e = 2.0 * math.pi * 1.0e4 * np.arange(dim) if hamiltonian else np.zeros(dim)
+        spec = LindbladSpec(np.diag(e).astype(complex), np.array(gamma), dims)
+        rho = cat_density(dims)
+        out = _integrate(rho, _rhs_builder(spec), 3.0e-4, n_steps)
+        assert same_bits(out, reference_integrate(rho, reference_rhs_builder(spec), 3.0e-4, n_steps))
+
+    @pytest.mark.parametrize("dims, gamma", [((25,), [[GAMMA]]), ((16, 16), CROSS)],
+                             ids=["one_mode_d25", "cross_16x16"])
+    def test_verified_evolution_bits_equal_reference(self, dims, gamma):
+        dim = int(np.prod(dims))
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array(gamma), dims)
+        rho = FockDensity(cat_density(dims), dims)
+        out = evolve_lindblad(rho, spec, 1.0e-4, 2.0e-5, verify_step=True)
+        # verify_step integrates at 5 and 10 steps and returns the finer result
+        ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 1.0e-4, 10)
+        assert same_bits(out.entries, ref)
+
+    def test_integration_peaks_at_four_matrices_whatever_the_step_count(self):
+        # the state and three stage buffers; the allocating loop peaks above seven
+        dims = (16, 16)
+        dim = 256
+        matrix = dim * dim * np.dtype(complex).itemsize
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array(CROSS), dims)
+        rho = cat_density(dims)
+
+        def peak(integrate, rhs, n_steps):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                integrate(rho, rhs, 3.0e-4, n_steps)
+                return (tracemalloc.get_traced_memory()[1] - base) / matrix
+            finally:
+                tracemalloc.stop()
+
+        rhs = _rhs_builder(spec)
+        one, nine = peak(_integrate, rhs, 1), peak(_integrate, rhs, 9)
+        # a broadcast product may take numpy's 8192-entry ufunc buffer: 0.125
+        # of a 256 x 256 matrix
+        assert 4.0 <= one < 4.25 and abs(nine - one) < 0.01, (one, nine)
+        assert peak(reference_integrate, reference_rhs_builder(spec), 9) >= 6.0
+
+
 class TestDispersivePulse:
     def test_pi_pulse_flips_amplitude(self):
         a = 0.9 + 0.2j
@@ -326,4 +511,4 @@ class TestAnalyticCrossChecks:
 
     def test_mixture_density_is_valid(self):
         mix = build_rho1(CatSpec(INV, INV, 1.5, 1), 0.6)
-        mixture_to_fock(mix).validate()
+        validate_density(mixture_to_fock(mix))
