@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 config error, 3 invariant breach, 4 truncation breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -64,12 +65,19 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def cmd_coeffs(cfg: RunConfig, args):
-    times = np.linspace(0.0, cfg.t_max_s, cfg.n_points)
+@contextlib.contextmanager
+def _naming_t_max(cfg: RunConfig):
+    """Add the key behind the time grid to a ConsistencyError raised on it."""
     try:
-        full, simp = coefficient_grid(cfg.mode_system(), times, cfg.rotating_frame)
+        yield
     except ConsistencyError as exc:
         raise ConsistencyError(f"{exc}; the time grid runs to t_max_s = {cfg.t_max_s!r}") from None
+
+
+def cmd_coeffs(cfg: RunConfig, args):
+    times = np.linspace(0.0, cfg.t_max_s, cfg.n_points)
+    with _naming_t_max(cfg):
+        full, simp = coefficient_grid(cfg.mode_system(), times, cfg.rotating_frame)
     header = ["t"]
     for tag in ("full", "simp"):
         for name in ("u11", "u12", "u21", "u22"):
@@ -121,9 +129,10 @@ def cmd_protocol(cfg: RunConfig, args):
 def _curve(cfg: RunConfig):
     """The configured cat and its analytic fidelity curve."""
     spec = cfg.protocol_config().target
-    curve = fidelity_curve(spec, cfg.mode_system(), cfg.t_max_s, cfg.n_points,
-                           spectator_phase=cfg.spectator_phase,
-                           rotating_frame=cfg.rotating_frame)
+    with _naming_t_max(cfg):
+        curve = fidelity_curve(spec, cfg.mode_system(), cfg.t_max_s, cfg.n_points,
+                               spectator_phase=cfg.spectator_phase,
+                               rotating_frame=cfg.rotating_frame)
     return spec, curve
 
 

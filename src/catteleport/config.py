@@ -23,13 +23,15 @@ TWO_PI = 2.0 * math.pi
 # of a few; at 10 the Fock oracle already needs ~200 levels per mode, past
 # ~38 exp(-|a|**2 / 2) underflows to 0 and past ~1e154 |a|**2 overflows.
 MAX_AMPLITUDE = 10.0
-# The config keys behind each ModeSystem field, named in its error messages.
-_MODE_SYSTEM_KEYS = {
+# The config keys behind each ModeSystem and ProtocolConfig field, named in
+# their error messages.
+_FIELD_KEYS = {
     "omega1": ("omega1_Hz",), "omega2": ("omega1_Hz", "Delta_Hz"),
     "gamma11": ("gamma11_inv_s",), "gamma22": ("gamma22_inv_s",),
     "gamma12": ("gamma12",), "gamma21": ("gamma21",),
     "lamb11": ("lamb11_Hz",), "lamb22": ("lamb22_Hz",),
     "lamb12": ("lamb12_Hz",), "lamb21": ("lamb21_Hz",),
+    "beta": ("beta_re", "beta_im"), "parity_sign": ("parity",),
 }
 
 
@@ -73,8 +75,6 @@ class RunConfig:
                                   f"above {MAX_AMPLITUDE:g}")
         if self.frame not in ("rotating", "lab"):
             raise ConfigError(f"frame must be 'rotating' or 'lab', got {self.frame!r}")
-        if self.parity not in (1, -1):
-            raise ConfigError("parity must be +1 or -1")
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
         if self.seed < 0:
@@ -82,14 +82,13 @@ class RunConfig:
         for key in ("gamma11_inv_s", "gamma22_inv_s", "t_max_s"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"{key} must be positive")
-        if self.beta == 0:
-            raise ConfigError("beta_re and beta_im cannot both be 0: the mode-2 cat is then "
-                              "null (parity -1) or the vacuum, which gives no readout sign")
         try:
             self.mode_system()
             pc = self.protocol_config()
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            keys = dict.fromkeys(key for name, names in _FIELD_KEYS.items()
+                                 if re.search(rf"\b{name}\b", str(exc)) for key in names)
+            raise ConfigError(f"{exc}; set by {', '.join(keys)}") from None
         try:
             cat_norm(pc.target)
         except NullState:
@@ -126,7 +125,7 @@ class RunConfig:
 
     def mode_system(self) -> ModeSystem:
         omega1 = TWO_PI * self.omega1_Hz
-        values = dict(
+        return ModeSystem(
             omega1=omega1,
             omega2=omega1 + TWO_PI * self.Delta_Hz,
             gamma11=1.0 / self.gamma11_inv_s,
@@ -138,12 +137,6 @@ class RunConfig:
             lamb12=TWO_PI * self.lamb12_Hz,
             lamb21=TWO_PI * self.lamb21_Hz,
         )
-        try:
-            return ModeSystem(**values)
-        except ValueError as exc:
-            keys = dict.fromkeys(key for name in values if re.search(rf"\b{name}\b", str(exc))
-                                 for key in _MODE_SYSTEM_KEYS[name])
-            raise ConfigError(f"{exc}; set by {', '.join(keys)}") from None
 
     def protocol_config(self) -> ProtocolConfig:
         norm = math.hypot(self.c_plus, self.c_minus)

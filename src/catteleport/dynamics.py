@@ -54,7 +54,14 @@ class ModeSystem:
 
     @property
     def mean_damping_rate(self) -> float:
-        return 0.5 * (self.gamma11 + self.gamma22)
+        return 0.5 * self.gamma11 + 0.5 * self.gamma22   # halved first: no sum to overflow
+
+    def decoupled_rates(self, rotating_frame: bool = True) -> tuple[complex, complex]:
+        """Rates r_j of the decoupled-mode model u_jj(t) = exp(r_j t):
+        r_j = -gbar/2 - i omega_j, with omega_j dropped in the rotating frame."""
+        gbar = self.mean_damping_rate
+        return tuple(-0.5 * gbar - 1j * (0.0 if rotating_frame else omega_j)
+                     for omega_j in (self.omega1, self.omega2))
 
 
 @dataclass(frozen=True)
@@ -131,15 +138,8 @@ def u_simplified(sys: ModeSystem, t: float, rotating_frame: bool = True) -> Evol
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    gbar = sys.mean_damping_rate
-    w1 = 0.0 if rotating_frame else sys.omega1
-    w2 = 0.0 if rotating_frame else sys.omega2
-    return EvolutionMatrix(
-        u11=cmath.exp((-0.5 * gbar - 1j * w1) * t),
-        u12=0.0,
-        u21=0.0,
-        u22=cmath.exp((-0.5 * gbar - 1j * w2) * t),
-    )
+    r1, r2 = sys.decoupled_rates(rotating_frame)
+    return EvolutionMatrix(u11=cmath.exp(r1 * t), u12=0.0, u21=0.0, u22=cmath.exp(r2 * t))
 
 
 def to_rotating_frame(u: EvolutionMatrix, sys: ModeSystem, t: float) -> EvolutionMatrix:
@@ -187,8 +187,10 @@ def _cdiv(a, b) -> np.ndarray:
 def _exp_rate(rate: complex, times: np.ndarray) -> np.ndarray:
     """cmath.exp(rate * t) for every t in ``times``, bit for bit where it is
     finite, for a rate whose real part is not positive: complex np.exp then
-    rounds as cmath.exp.  Where cmath.exp raises, the value is not finite."""
-    return np.exp(_cmul(rate, times))
+    rounds as cmath.exp.  Where cmath.exp raises, the value is not finite;
+    no overflow in rate * t warns."""
+    with np.errstate(all="ignore"):
+        return np.exp(_cmul(rate, times))
 
 
 def coefficient_grid(sys: ModeSystem, times: np.ndarray,
@@ -224,12 +226,10 @@ def coefficient_grid(sys: ModeSystem, times: np.ndarray,
         if rotating_frame:
             full[:2] = _cmul(full[:2], _exp_rate(1j * sys.omega1, times))
             full[2:] = _cmul(full[2:], _exp_rate(1j * sys.omega2, times))
-        w1 = 0.0 if rotating_frame else sys.omega1
-        w2 = 0.0 if rotating_frame else sys.omega2
-        gbar = sys.mean_damping_rate
+        r1, r2 = sys.decoupled_rates(rotating_frame)
         simp = np.zeros_like(full)
-        simp[0] = _exp_rate(-0.5 * gbar - 1j * w1, times)
-        simp[3] = _exp_rate(-0.5 * gbar - 1j * w2, times)
+        simp[0] = _exp_rate(r1, times)
+        simp[3] = _exp_rate(r2, times)
     suspect = (~np.isfinite(full).all(axis=0) | ~np.isfinite(simp).all(axis=0)
                | (np.abs(sh.real) > _CMATH_LARGE))
     for i in np.flatnonzero(suspect):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModeSystem, _cmul, _exp_rate, decoherence_Z
-from .errors import NullState
+from .errors import ConsistencyError, NullState
 from .states import NULL_NORM_TOL, CatSpec, overlap
 
 
@@ -97,8 +97,6 @@ def _curve_values(spec: CatSpec, u11: np.ndarray) -> np.ndarray:
     if (mag > 1.0 + 1e-12).any():
         raise ValueError("|u11| must not exceed 1")
     mag = np.where(1.0 < mag, 1.0, mag)                  # min(mag, 1.0)
-    if not ((0.0 <= mag) & (mag <= 1.0)).all():          # NaN fails too
-        raise ValueError("u11_mag must lie in [0, 1]")
     amp = _cmul(u11, complex(spec.alpha))
     amp_sq = np.float_power(np.hypot(amp.real, amp.imag), 2.0)
     z = np.exp((-2.0 * abs(spec.alpha) ** 2 * (1.0 - mag * mag)).astype(complex)).real
@@ -135,10 +133,12 @@ def fidelity_curve(spec: CatSpec, sys: ModeSystem, t_max: float, n_points: int,
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     times = np.linspace(0.0, t_max, n_points)
-    w1 = 0.0 if rotating_frame else sys.omega1
-    rate = -0.5 * sys.mean_damping_rate - 1j * w1   # u_simplified's u11 = exp(rate t)
-    with np.errstate(invalid="ignore"):   # an infinite rate gives NaN at t = 0: rejected
-        u11 = _cmul(_exp_rate(rate, times), cmath.exp(1j * spectator_phase))
+    u11 = _cmul(_exp_rate(sys.decoupled_rates(rotating_frame)[0], times),
+                cmath.exp(1j * spectator_phase))
+    finite = np.isfinite(u11)
+    if not finite.all():   # the decay factor is at most 1, so only omega1 * t can overflow
+        t = float(times[finite.argmin()])
+        raise ConsistencyError(f"u11 is not finite at t={t!r}: the free-evolution phase overflows")
     values = _curve_values(spec, u11)
     balanced_even_real = (
         spec.parity_sign == 1

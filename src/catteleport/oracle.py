@@ -296,16 +296,6 @@ def evolve_lindblad(rho: FockDensity, spec: LindbladSpec, t: float,
     return result
 
 
-def dispersive_pi_fock(rho: FockDensity, phase: float = math.pi) -> FockDensity:
-    """Conjugation by the number-phase operator exp(-i*phase*n) (single mode)."""
-    if len(rho.mode_dims) != 1:
-        raise ValueError("dispersive pulse oracle is single-mode")
-    n = np.arange(len(rho.entries))
-    u = np.exp(-1j * phase * n)
-    out = (u[:, None] * rho.entries) * u.conj()[None, :]
-    return FockDensity(out, rho.mode_dims)
-
-
 def cat_state_vector(spec: CatSpec, n_max: int) -> np.ndarray:
     """Normalized Fock vector of the cat superposition in ``spec``."""
     a = complex(spec.alpha)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from catteleport.oracle import FockDensity
 from catteleport.states import AtomLevel, TermState, overlap
 
 # Fixed draws, no per-example deadline and a stop at the first failing
@@ -106,6 +107,16 @@ def validate_density(rho) -> None:
     if not np.linalg.eigvalsh((r + r.conj().T) / 2).min() >= -1e-9:
         raise ValueError("density matrix has a negative eigenvalue")
     rho.check_truncation()
+
+
+def dispersive_pi_fock(rho: FockDensity, phase: float = math.pi) -> FockDensity:
+    """Conjugation by the number-phase operator exp(-i*phase*n) (single mode)."""
+    if len(rho.mode_dims) != 1:
+        raise ValueError("dispersive pulse oracle is single-mode")
+    n = np.arange(len(rho.entries))
+    u = np.exp(-1j * phase * n)
+    out = (u[:, None] * rho.entries) * u.conj()[None, :]
+    return FockDensity(out, rho.mode_dims)
 
 
 @pytest.fixture

@@ -25,7 +25,6 @@ from catteleport.oracle import (
     cat_state_vector,
     coherent_fidelity,
     coherent_to_fock,
-    dispersive_pi_fock,
     evolve_lindblad,
     extract_cat_coherence,
     mixture_to_fock,
@@ -43,7 +42,7 @@ from catteleport.protocol import (
 )
 from catteleport.states import AtomLevel, CatSpec, state_overlap
 
-from conftest import drain_matrix
+from conftest import dispersive_pi_fock, drain_matrix
 
 INV = 1.0 / math.sqrt(2.0)
 GAMMA11 = 1.0e3

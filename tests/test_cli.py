@@ -212,13 +212,17 @@ class TestExitCodes:
         # the other ModeSystem checks name the keys behind the fields too
         ("Delta_Hz = -1e7\n", ["coeffs"], "out.csv", "Delta_Hz"),
         ("gamma12 = 2e3\ngamma21 = 2e3\n", ["coeffs"], "out.csv", "gamma11_inv_s"),
+        # the library's checks of the readout and the cat name their keys too
+        ("beta_re = 1e-9\n", ["protocol"], "out.csv", "beta_re, beta_im"),
+        ("parity = 0\n", ["fidelity"], "out.csv", "set by parity"),
     ], ids=["out_dir_missing", "nan_damping", "inf_t_max", "inf_alpha",
             "negative_trials", "negative_seed_key", "negative_seed_flag",
             "huge_alpha", "large_alpha_protocol", "huge_alpha_im", "alpha_40_oracle",
             "large_beta", "detunings_cancel", "trials_beyond_memory",
             "spectator_phase_overflow", "infinite_mode2_frequency",
             "infinite_damping_rate_coeffs", "infinite_damping_rate",
-            "inverted_frequencies", "excess_cross_damping"])
+            "inverted_frequencies", "excess_cross_damping", "unreadable_beta",
+            "parity_zero"])
     def test_bad_input_exits_2_naming_it(self, tmp_path, capsys, text, argv, out, name):
         p = tmp_path / "run.cfg"
         p.write_text(text)
@@ -232,8 +236,10 @@ class TestExitCodes:
         ("gamma11_inv_s = 1e-300\n", ["coeffs"], ["u_full overflows at t="]),
         ("t_max_s = 1e300\n", ["coeffs"], ["u_full overflows at t=", "t_max_s"]),
         ("c_plus = 1e300\n", ["oracle-check"], ["decoherence_Z", "c_plus", "c_minus"]),
+        ("t_max_s = 1e300\nframe = lab\n", ["fidelity"],
+         ["u11 is not finite at t=", "free-evolution phase", "t_max_s"]),
     ], ids=["cosh_overflow", "square_overflow", "phase_overflow_before_t_max",
-            "cat_coherence_lost_to_rounding"])
+            "cat_coherence_lost_to_rounding", "fidelity_phase_overflow"])
     def test_overflowing_rates_exit_3_naming_the_stage(self, tmp_path, capsys,
                                                         text, argv, names):
         p = tmp_path / "run.cfg"
@@ -243,6 +249,16 @@ class TestExitCodes:
         assert code == 3
         assert all(n in err for n in names), err
         assert "Traceback" not in err and "Warning" not in err, err
+
+    @pytest.mark.parametrize("command", ["coeffs", "fidelity"])
+    def test_mean_damping_rate_of_finite_rates_stays_finite(self, tmp_path, command):
+        # gamma11 + gamma22 = 2e308 overflows; their mean 1e308 does not
+        p = tmp_path / "run.cfg"
+        p.write_text("gamma11_inv_s = 1e-308\ngamma22_inv_s = 1e-308\n")
+        code, text = run_cli(tmp_path, command, "--config", str(p))
+        values = np.array(list(csv.reader(io.StringIO(text)))[1:], dtype=float)
+        assert code == 0 and len(values) == 200
+        assert np.isfinite(values).all()
 
     def test_oracle_check_over_step_budget_exits_2_at_once(self, tmp_path):
         # 2.5e7 RK4 steps per time point: without a budget this runs for days
@@ -315,7 +331,8 @@ class TestCoeffsCommand:
     @given(coeffs_configs())
     @settings(max_examples=200)
     # five points where cmath.cosh takes its scaled formula, which libm's ccosh
-    # does not, with every value finite
+    # does not; the scalar u_full also gives u22 = inf+nanj at t = 0.0284,
+    # where the true value is about exp(-0.14), and the grid repeats it
     @example(RunConfig(gamma11_inv_s=1e-5, gamma22_inv_s=0.1, Delta_Hz=100.0,
                        t_max_s=0.0284, n_points=2000))
     # u_full is finite at t_max_s, the free-evolution phase of mode 2 is not

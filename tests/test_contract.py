@@ -124,6 +124,10 @@ def _oracle(argv):
 @given(cfg=configs(), argv=commands())
 @example(cfg={"delta_Hz": -1e7}, argv=["protocol"])
 @example(cfg={"gamma11_inv_s": 1e-9}, argv=["oracle-check"])
+# gamma_bar * t overflows to -inf in the decay factor
+@example(cfg={"t_max_s": 1.7976931348623157e308}, argv=["fidelity", "--oracle"])
+# omega1 * t overflows to inf in the free-evolution phase
+@example(cfg={"t_max_s": 1e300, "frame": "lab"}, argv=["fidelity"])
 def test_every_config_exits_by_contract(cfg, argv):
     if _oracle(argv):
         alpha = math.hypot(cfg.get("alpha_re", 1.0), cfg.get("alpha_im", 0.0))

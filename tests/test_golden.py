@@ -4,6 +4,7 @@ The hashes live in ``perfbench/golden.json``; see ``perfbench/golden.py`` for
 the job set and for how to refresh them after a deliberate output change.
 """
 
+import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,4 +16,6 @@ from perfbench import golden  # noqa: E402
 
 
 def test_cli_output_matches_golden_hashes(tmp_path):
-    assert golden.mismatches(SimpleNamespace(cli=catteleport.cli), tmp_path) == 0
+    # a failure lists the jobs whose bytes moved
+    stored = json.loads(golden.GOLDEN_FILE.read_text(encoding="utf-8"))
+    assert golden.compute(SimpleNamespace(cli=catteleport.cli), tmp_path) == stored

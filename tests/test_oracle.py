@@ -16,7 +16,6 @@ from catteleport.oracle import (
     coherent_fidelity,
     coherent_to_fock,
     coherent_pair_weights,
-    dispersive_pi_fock,
     evolve_lindblad,
     extract_cat_coherence,
     mixture_fidelity,
@@ -26,7 +25,7 @@ from catteleport.oracle import (
 )
 from catteleport.states import CatSpec
 
-from conftest import coefficient_matrix, fock_overlap, validate_density
+from conftest import coefficient_matrix, dispersive_pi_fock, fock_overlap, validate_density
 
 INV = 1.0 / math.sqrt(2.0)
 GAMMA = 1.0e3
