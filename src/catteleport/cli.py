@@ -76,24 +76,24 @@ def _naming_t_max(cfg: RunConfig):
 
 def cmd_coeffs(cfg: RunConfig, args):
     times = np.linspace(0.0, cfg.t_max_s, cfg.n_points)
-    with _naming_t_max(cfg):
-        full, simp = coefficient_grid(cfg.mode_system(), times, cfg.rotating_frame)
     header = ["t"]
     for tag in ("full", "simp"):
         for name in ("u11", "u12", "u21", "u22"):
             header += [f"{name}_{tag}_re", f"{name}_{tag}_im"]
     header.append("deviation")
-    diff = full - simp
-    dist = np.hypot(diff.real, diff.imag)     # abs() of each entry
-    dev = dist[0]
-    for d in dist[1:]:                         # max(): a NaN counts only when it comes first
-        dev = np.where(d > dev, d, dev)
-    zs = np.concatenate([full, simp])
-    table = np.empty((len(times), 2 * len(zs) + 2))
-    table[:, 0] = times
-    table[:, 1:-1:2] = zs.real.T
-    table[:, 2:-1:2] = zs.imag.T
-    table[:, -1] = dev
+    with _naming_t_max(cfg):
+        full, simp = coefficient_grid(cfg.mode_system(), times, cfg.rotating_frame)
+        zs = np.concatenate([full, simp])
+        table = np.empty((len(times), 2 * len(zs) + 2))
+        table[:, 0] = times
+        table[:, 1:-1:2] = zs.real.T
+        table[:, 2:-1:2] = zs.imag.T
+        diff = full - simp
+        table[:, -1] = np.hypot(diff.real, diff.imag).max(axis=0)
+        # the unscaled closed form can overflow where the true entries are small
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if bad.size:
+            raise ConsistencyError(f"u_full is not finite at t={float(times[bad[0]])!r}")
     return header, table.tolist(), True
 
 

@@ -13,10 +13,6 @@ class ConsistencyError(CatTeleportError):
     """Internal numerical consistency violated (e.g. complex norm residue)."""
 
 
-class AmbiguousCluster(CatTeleportError):
-    """A mode-2 amplitude could not be assigned to either readout cluster."""
-
-
 class TruncationBreach(CatTeleportError):
     """Fock-space truncation left too much tail probability."""
 

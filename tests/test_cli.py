@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from catteleport import cli, dynamics
 from catteleport.cli import _write_csv, build_parser, cmd_coeffs, main
 from catteleport.config import RunConfig, default_config, load_config, parse_config
-from catteleport.dynamics import drain_params, to_rotating_frame, u_full, u_simplified
+from catteleport.dynamics import (
+    coefficient_grid,
+    drain_params,
+    to_rotating_frame,
+    u_full,
+    u_simplified,
+)
 from catteleport.errors import ConfigError, ConsistencyError
 
 
@@ -238,8 +244,14 @@ class TestExitCodes:
         ("c_plus = 1e300\n", ["oracle-check"], ["decoherence_Z", "c_plus", "c_minus"]),
         ("t_max_s = 1e300\nframe = lab\n", ["fidelity"],
          ["u11 is not finite at t=", "free-evolution phase", "t_max_s"]),
+        # the unscaled u_full overflows where the true entries are small
+        ("lamb12_Hz = 1e300\nlamb21_Hz = 1e300\n", ["coeffs"],
+         ["u_full is not finite at t=0.0;", "t_max_s"]),
+        ("gamma11_inv_s = 1e-5\ngamma22_inv_s = 0.1\nDelta_Hz = 100\nt_max_s = 0.0284\n"
+         "n_points = 2000\n", ["coeffs"], ["u_full is not finite at t=0.0284;", "t_max_s"]),
     ], ids=["cosh_overflow", "square_overflow", "phase_overflow_before_t_max",
-            "cat_coherence_lost_to_rounding", "fidelity_phase_overflow"])
+            "cat_coherence_lost_to_rounding", "fidelity_phase_overflow",
+            "huge_cross_lamb_shifts", "u22_overflow_at_t_max"])
     def test_overflowing_rates_exit_3_naming_the_stage(self, tmp_path, capsys,
                                                         text, argv, names):
         p = tmp_path / "run.cfg"
@@ -332,7 +344,8 @@ class TestCoeffsCommand:
     @settings(max_examples=200)
     # five points where cmath.cosh takes its scaled formula, which libm's ccosh
     # does not; the scalar u_full also gives u22 = inf+nanj at t = 0.0284,
-    # where the true value is about exp(-0.14), and the grid repeats it
+    # where the true value is about exp(-0.14), and the grid repeats it; coeffs
+    # stops there
     @example(RunConfig(gamma11_inv_s=1e-5, gamma22_inv_s=0.1, Delta_Hz=100.0,
                        t_max_s=0.0284, n_points=2000))
     # u_full is finite at t_max_s, the free-evolution phase of mode 2 is not
@@ -342,11 +355,29 @@ class TestCoeffsCommand:
                        n_points=2, frame="lab"))
     def test_rows_equal_the_scalar_loop_bit_for_bit(self, cfg):
         rows, failed_at = coeffs_reference(cfg)
+        times = np.linspace(0.0, cfg.t_max_s, cfg.n_points)
         if failed_at is not None:
-            # the grid stops at the same point, naming the stage and the key
-            with pytest.raises(ConsistencyError, match=re.escape(f"at t={failed_at!r}")) as exc:
+            # the grid stops at the same point, naming the stage
+            with pytest.raises(ConsistencyError, match=re.escape(f"at t={failed_at!r}")):
+                coefficient_grid(cfg.mode_system(), times, cfg.rotating_frame)
+        else:
+            # the grid itself, non-finite values included
+            full, simp = coefficient_grid(cfg.mode_system(), times, cfg.rotating_frame)
+            zs = np.concatenate([full, simp])
+            grid = np.empty((len(times), 2 * len(zs)))
+            grid[:, 0::2] = zs.real.T
+            grid[:, 1::2] = zs.imag.T
+            assert (bits(grid) == bits(np.array(rows)[:, 1:-1])).all()
+        # coeffs stops where the grid stops, or else at the first row with a
+        # non-finite cell
+        stop = failed_at if failed_at is not None else next(
+            (row[0] for row in rows if not np.isfinite(row).all()), None)
+        if stop is not None:
+            with pytest.raises(ConsistencyError, match=re.escape(f"at t={stop!r}")) as exc:
                 cmd_coeffs(cfg, None)
             assert "t_max_s" in str(exc.value)
+            if stop != failed_at:
+                assert "u_full is not finite" in str(exc.value)
             return
         header, got, ok = cmd_coeffs(cfg, None)
         assert ok and len(header) == len(got[0])
@@ -394,6 +425,17 @@ class TestProtocolCommand:
         _, text = run_cli(tmp_path, "protocol")
         labels = {r["classification"] for r in read_rows(text)}
         assert labels == {"success_direct", "success_after_correction", "failure"}
+
+    @pytest.mark.parametrize("text", ["alpha_re = 0\nspectator_phase_on = false\n",
+                                      "delta_Hz = -5e6\n"],
+                             ids=["vacuum_mode1", "spectator_phase_minus_pi"])
+    def test_atom_outcome_of_zero_probability_exits_0(self, tmp_path, text):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        code, out = run_cli(tmp_path, "protocol", "--config", str(p), "--trials", "100")
+        assert code == 0
+        assert [(r["probability"], r["residual_fidelity"], r["sampled_count"])
+                for r in read_rows(out) if r["atom"] == "e"] == [("0", "0", "0")] * 2
 
     def test_corrected_fidelity_perfect_for_flip_branch(self, tmp_path):
         _, text = run_cli(tmp_path, "protocol", "--no-spectator-phase")

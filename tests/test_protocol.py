@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from catteleport.errors import AmbiguousCluster
+from catteleport.oracle import cat_state_vector, coherent_to_fock
 from catteleport.protocol import (
     ChiMode,
     Classification,
@@ -210,10 +211,13 @@ class TestPhaseMeasurement:
         cfg = balanced_config(1.0)
         assert cfg.effective_phase_error == pytest.approx(math.exp(-4.0), abs=1e-12)
 
-    def test_ambiguous_amplitude_raises(self):
-        state = TermState.from_tuples([(1.0, "g", 0.0, 1.3)])  # halfway point
-        with pytest.raises(AmbiguousCluster):
-            phase_branches(state, 1.3)
+    def test_each_term_goes_to_the_nearer_centre_and_a_tie_to_plus(self):
+        state = TermState.from_tuples([(0.6, "g", 0.5, 2.0), (0.8, "g", -0.5, 0.7),
+                                       (0.1, "g", 0.0, 1.3)])   # the last one halfway
+        (plus_sign, plus, _), (zero_sign, zero, _) = phase_branches(state, 1.3)
+        assert (plus_sign, zero_sign) == (1, -1)
+        assert [t.amp2 for t in plus.terms] == [2.0, 1.3]
+        assert [t.amp2 for t in zero.terms] == [0.7]
 
 
 class TestCorrection:
@@ -297,6 +301,16 @@ class TestRunProtocol:
     def test_default_spectator_phase_value(self):
         assert default_spectator_phase() == pytest.approx(0.0311, abs=1e-3)
 
+    @pytest.mark.parametrize("alpha, spectator_phase", [(0.0, 0.0), (1.0, -math.pi)],
+                             ids=["vacuum_mode1", "spectator_phase_minus_pi"])
+    def test_atom_outcome_of_zero_probability_is_reported(self, alpha, spectator_phase):
+        # every e-term cancels: p(e) = 0 is a result, reported as two empty branches
+        cfg = balanced_config(alpha, beta=1.0, spectator_phase=spectator_phase)
+        outcomes = run_protocol(cfg)
+        assert [(o.field_sign, o.probability, o.residual_mode1.terms)
+                for o in outcomes if o.atom is AtomLevel.E] == [(1, 0.0, ()), (-1, 0.0, ())]
+        assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
+
     def test_sampled_frequencies_converge(self):
         outcomes = run_protocol(balanced_config(2.0))
         n = 100_000
@@ -306,3 +320,94 @@ class TestRunProtocol:
             freq = counts[(o.atom, o.field_sign)] / n
             sigma = math.sqrt(o.probability * (1.0 - o.probability) / n)
             assert abs(freq - o.probability) < 3.0 * sigma + 1e-9
+
+
+# Mode 2 reaches |2 beta| <= 6 after the displacement; going from 120 to 140
+# levels moves no probability or fidelity below by more than 2e-15.
+FOCK_DIM = 120
+
+
+def ramsey_matrix(drive_phase):
+    """ramsey_half_pulse as a 2x2 map on the atom basis (g, e)."""
+    ph = cmath.exp(1j * drive_phase)
+    return np.array([[1.0, -1.0 / ph], [ph, 1.0]]) / math.sqrt(2.0)
+
+
+def fock_protocol(cfg, d=FOCK_DIM):
+    """The protocol as a pure vector on atom x mode 1 x mode 2, read out by the
+    POVM {|0><0|, 1 - |0><0|} on the displaced mode 2.
+
+    Returns {(atom, sign): (probability, <target|rho|target>)}, with sign -1
+    for the vacuum outcome and +1 for the other; rho is the branch's
+    unnormalized mode-1 state, so its fidelity is the second value over the
+    first.
+    """
+    n = np.arange(d)
+    psi = np.zeros((2, d, d), dtype=complex)
+    psi[0] = np.outer(coherent_to_fock(cfg.alpha, d - 1),
+                      cat_state_vector(cfg.target_mode2, d - 1))
+    psi = np.einsum("ab,bij->aij", ramsey_matrix(0.0), psi)
+    flip, spectator = np.exp(1j * math.pi * n), np.exp(1j * cfg.spectator_phase * n)
+    psi[1] *= np.outer(flip, spectator)      # dispersive pi on mode 1
+    psi[1] *= np.outer(spectator, flip)      # dispersive pi on mode 2
+    psi = np.einsum("ab,bij->aij", ramsey_matrix(math.pi), psi)
+    a = np.diag(np.sqrt(n[1:]), 1)
+    beta = complex(cfg.beta)
+    psi = psi @ expm(beta * a.T - beta.conjugate() * a).T
+    # <target| on mode 1, for each atom level and mode-2 number state
+    amp = np.einsum("i,aik->ak", cat_state_vector(cfg.target, d - 1).conj(), psi)
+    branches = {}
+    for k, atom in enumerate((AtomLevel.G, AtomLevel.E)):
+        p_atom = np.vdot(psi[k], psi[k]).real
+        p_vac = np.vdot(psi[k, :, 0], psi[k, :, 0]).real
+        w_vac, w_atom = abs(amp[k, 0]) ** 2, np.vdot(amp[k], amp[k]).real
+        branches[(atom, -1)] = (p_vac, w_vac)
+        branches[(atom, 1)] = (p_atom - p_vac, w_atom - w_vac)
+    return branches
+
+
+class TestFockProtocolOracle:
+    @pytest.mark.parametrize("cfg", [
+        generic_config(),
+        generic_config(spectator_phase=default_spectator_phase()),
+        balanced_config(1.5, beta=2.0, spectator_phase=default_spectator_phase()),
+        ProtocolConfig(alpha=1.2, beta=-0.5 + 1.5j, c_plus=0.6j, c_minus=0.8,
+                       parity_sign=-1, spectator_phase=2.5),
+        ProtocolConfig(alpha=0.9, beta=1.4, c_plus=1.0, c_minus=0.0,
+                       spectator_phase=default_spectator_phase(5e7, 1e7)),
+        balanced_config(0.0, beta=1.0),
+        balanced_config(1.0, spectator_phase=-math.pi),
+    ], ids=["generic", "generic_spectator", "table_2", "parity_minus_phase_2_5",
+            "coherent_delta_above_Delta", "vacuum_mode1", "phase_minus_pi"])
+    def test_atom_probabilities_match(self, cfg):
+        oracle = fock_protocol(cfg)
+        outcomes = run_protocol(cfg)
+        for atom in AtomLevel:
+            reported = sum(o.probability for o in outcomes if o.atom is atom)
+            exact = oracle[(atom, 1)][0] + oracle[(atom, -1)][0]
+            assert abs(reported - exact) < 1e-12
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 3.0), (0.8 + 0.3j, 2.5 - 1j), (1.0, 1.0)])
+    def test_branches_within_the_dropped_coherence_without_spectator_phase(self, alpha, beta):
+        # the cluster readout drops a coherence of order <0|2 beta> = e^{-2|beta|^2}
+        cfg = ProtocolConfig(alpha=alpha, beta=beta, c_plus=0.6, c_minus=0.8,
+                             parity_sign=-1, spectator_phase=0.0)
+        bound = math.exp(-2.0 * abs(beta) ** 2)
+        oracle = fock_protocol(cfg)
+        for o in run_protocol(cfg):
+            p, w = oracle[(o.atom, o.field_sign)]
+            assert abs(o.probability - p) < bound
+            assert abs(residual_fidelity(o.residual_mode1, cfg) - w / p) < bound
+
+    @pytest.mark.parametrize("alpha, beta, sign, p, f", [
+        (1.0, 1.0, -1, 0.322080, 0.998814),
+        (1.0, 1.0, 1, 0.245580, 0.998312),
+        (1.5, 2.0, -1, 0.252370, 0.989586),
+        (1.5, 2.0, 1, 0.253171, 0.987726),
+    ])
+    def test_exact_readout_table(self, alpha, beta, sign, p, f):
+        # the g branches of the exact readout, spectator phase on
+        cfg = balanced_config(alpha, beta=beta, spectator_phase=default_spectator_phase())
+        got_p, got_w = fock_protocol(cfg)[(AtomLevel.G, sign)]
+        assert got_p == pytest.approx(p, abs=1e-6)
+        assert got_w / got_p == pytest.approx(f, abs=1e-6)
