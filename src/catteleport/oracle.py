@@ -9,7 +9,10 @@ a diagonal phase conjugation.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -103,8 +106,115 @@ class LindbladSpec:
             raise ValueError("gamma matrix must be positive semidefinite")
 
 
-# Entries per row block of the RHS: its three block buffers stay in L2 cache.
-_BLOCK_ENTRIES = 8192
+# Threads that share a multi-block RHS and its RK4 loop: the caller and at
+# most one helper; the caller alone on a one-CPU affinity.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+# Entries per row block of the RHS: a worker's four block buffers stay in L2
+# cache, and with two workers each pass is long enough for both to gain.
+_BLOCK_ENTRIES = 8192 * _WORKERS
+
+
+class _Helper:
+    """A daemon thread that runs one callable at a time for the caller that
+    holds ``busy``, while that caller runs its own share."""
+
+    def __init__(self):
+        self.busy = threading.Lock()
+        self.broken = False
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task = self._error = None
+        threading.Thread(target=self._serve, name="catteleport-oracle", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            try:
+                self._task()
+            except BaseException as exc:
+                self._error = exc
+            self._task = None   # it holds the phase's buffers
+            self._done.release()
+
+    def share(self, task, own):
+        """``task()`` here and ``own()`` in the caller at once; own's result
+        once both have finished, or the first error."""
+        self._task = task
+        self._go.release()
+        try:
+            result = own()
+        finally:
+            try:
+                self._done.acquire()
+            except BaseException:   # interrupted while the task runs: out of step
+                self.broken = True
+                raise
+            error, self._error = self._error, None
+        if error is not None:
+            raise error
+        return result
+
+
+_HELPER: Optional[_Helper] = None
+_HELPER_LOCK = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """A forked child has no helper thread: it starts its own when needed."""
+    global _HELPER, _HELPER_LOCK
+    _HELPER, _HELPER_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _claim_helper() -> Optional[_Helper]:
+    """The helper, started on first use, or None while another caller has it."""
+    global _HELPER
+    with _HELPER_LOCK:
+        if _HELPER is None or _HELPER.broken:
+            _HELPER = _Helper()
+        helper = _HELPER
+    return helper if helper.busy.acquire(blocking=False) else None
+
+
+_DONE = object()
+
+
+def _lockstep(shares) -> None:
+    """Run one generator per worker, phase by phase: a phase is the code up
+    to the next ``yield`` or the end, and no share starts a phase before the
+    other has finished the one before.  Two shares run on the caller and the
+    helper at once, or in turn while another caller has the helper."""
+    if len(shares) == 1:
+        for _ in shares[0]:
+            pass
+        return
+    mine, theirs = shares
+    own, task = functools.partial(next, mine, _DONE), functools.partial(next, theirs, None)
+    helper = _claim_helper()
+    try:
+        while True:
+            if helper is None:
+                task()
+                result = own()
+            else:
+                result = helper.share(task, own)
+            if result is _DONE:
+                return
+    finally:
+        if helper is not None:
+            helper.busy.release()
+
+
+def _one_phase(fn, *args):
+    """``fn(*args)`` as a share of a single phase."""
+    fn(*args)
+    yield from ()
 
 
 def _rhs_builder(spec: LindbladSpec):
@@ -116,7 +226,7 @@ def _rhs_builder(spec: LindbladSpec):
     a_jp)/2) is three such products, each a shifted copy of rho times a
     length-D row and/or column coefficient: sqrt(n) * sqrt(n) for a_j^+ a_j,
     sqrt(m + 1) or sqrt(m) for a move, or the product of two of these.  A
-    coefficient is 0 where the truncation cuts the move: sqrt(0) on the
+    coefficient is 0 where the truncation cuts a move: sqrt(0) on the
     vacuum, an explicit 0 on the top level.  H is diagonal, so -i[H, rho] is
     the phase -i (E_m - E_n) on entry rho_mn.  Each product is rounded as in
     the dense matrix form (a_jp rho) a_j^+, rows before columns, so the
@@ -129,9 +239,16 @@ def _rhs_builder(spec: LindbladSpec):
     row has a cut column and takes 0 times that neighbour, where a
     slice-based form would leave it unwritten.  The two can differ only in
     the sign of a zero partial sum, which adding a nonzero value erases; the
-    tests hold the result to the slice-based form bit for bit.  The returned
-    function reuses three block buffers, one call at a time; ``rhs(rho,
-    out)`` writes into ``out`` when given.
+    tests hold the result to the slice-based form bit for bit.  A row
+    coefficient is first copied across a block buffer, so its product is a
+    flat pass too.
+
+    The blocks are split into ``_WORKERS`` contiguous row ranges, each with
+    its own four block buffers; ``rhs.parts`` lists (row range, fill), where
+    ``fill(r, out)`` writes the rows of ``out`` in its range and reads any
+    row of ``r``.  A call ``rhs(rho, out)`` runs the parts on two threads
+    when there are two (a spec whose rho fits one block has one) and writes
+    into ``out`` when given; the buffers serve one call at a time.
     """
     dims = spec.mode_dims
     dim = int(np.prod(dims))
@@ -181,56 +298,69 @@ def _rhs_builder(spec: LindbladSpec):
         stop = max(start, min(hi, size - shift))
         return slice(start - lo, stop - lo), slice(start + shift, stop + shift)
 
-    # Per block: its flat range and, per term, the rows the left product
-    # leaves at zero, then (destination, coefficient, source) of the left
-    # product, the right product and the jump's row and column halves.  The
-    # left product and the jump's row half index rows of the block; the rest
-    # index its flat entries.
-    buffers = [np.empty(rows * dim, dtype=complex) for _ in range(3)]
-    blocks = []
-    for b0 in range(0, dim, rows):
-        b1 = min(dim, b0 + rows)
-        plan = []
-        for rate, (ls, lc), (rs, rc), (js, jr, jcs, jc) in terms:
-            ld, lsrc = span(ls, b0, b1, dim)
-            rd, rsrc = span(rs, b0 * dim, b1 * dim, dim * dim)
-            td, tsrc = span(js, b0, b1, dim)
-            ud, usrc = span(jcs, 0, td.stop * dim, td.stop * dim)
-            plan.append((rate, (slice(None, ld.start), slice(ld.stop, None)),
-                         (ld, lc[b0:b1][ld], lsrc), (rd, rc[rd], rsrc),
-                         (td, jr[b0:b1][td], tsrc), (ud, jc[ud], usrc)))
-        w, s, u = (b[:(b1 - b0) * dim] for b in buffers)
-        blocks.append((slice(b0 * dim, b1 * dim), (w, s, u),
-                       (w.reshape(-1, dim), s.reshape(-1, dim)), plan))
+    def part(starts):
+        """The rows of the blocks starting at ``starts`` and their fill."""
+        # Per block: its flat range and, per term, the rows the left product
+        # leaves at zero, then (destination, coefficient, source) of the left
+        # product, the right product and the jump's row and column halves.
+        # The left product and the jump's row half index rows of the block;
+        # the rest index its flat entries.
+        buffers = [np.empty(rows * dim, dtype=complex) for _ in range(4)]
+        blocks = []
+        for b0 in starts:
+            b1 = min(dim, b0 + rows)
+            plan = []
+            for rate, (ls, lc), (rs, rc), (js, jr, jcs, jc) in terms:
+                ld, lsrc = span(ls, b0, b1, dim)
+                rd, rsrc = span(rs, b0 * dim, b1 * dim, dim * dim)
+                td, tsrc = span(js, b0, b1, dim)
+                ud, usrc = span(jcs, 0, td.stop * dim, td.stop * dim)
+                plan.append((rate, (slice(None, ld.start), slice(ld.stop, None)),
+                             (ld, lc[b0:b1][ld], lsrc), (rd, rc[rd], rsrc),
+                             (td, jr[b0:b1][td], tsrc), (ud, jc[ud], usrc)))
+            w, s, u, c = (b[:(b1 - b0) * dim] for b in buffers)
+            blocks.append((slice(b0 * dim, b1 * dim), (w, s, u),
+                           (w.reshape(-1, dim), s.reshape(-1, dim), c.reshape(-1, dim)), plan))
+
+        def fill(r, out):
+            flat_r, flat_out = r.reshape(-1), out.reshape(-1)
+            for block, (w, s, u), (w2, s2, c2), plan in blocks:
+                o = flat_out[block]
+                if phase is None:
+                    o.fill(0.0)
+                else:
+                    np.multiply(flat_r[block], phase[block], out=o)
+                for rate, zero, (ld, lc, lsrc), (rd, rc, rsrc), (td, jr, tsrc), (ud, jc, usrc) in plan:
+                    # w = jump - 0.5 * (left + right), summed as -0.5 * (left +
+                    # right) + jump: the same roundings.
+                    for rows_ in zero:
+                        w2[rows_] = 0.0
+                    c2[ld] = lc
+                    np.multiply(c2[ld], r[lsrc], out=w2[ld])
+                    np.multiply(flat_r[rsrc], rc, out=s[rd])
+                    w[rd] += s[rd]
+                    np.multiply(w, -0.5, out=w)
+                    c2[td] = jr
+                    np.multiply(c2[td], r[tsrc], out=s2[td])
+                    np.multiply(s[usrc], jc, out=u[ud])
+                    w[ud] += u[ud]
+                    np.multiply(w, rate, out=w)
+                    o += w
+
+        return slice(starts[0], min(dim, starts[-1] + rows)), fill
+
+    starts = range(0, dim, rows)
+    per = -(-len(starts) // min(_WORKERS, len(starts)))
+    parts = [part(starts[i:i + per]) for i in range(0, len(starts), per)]
 
     def rhs(rho: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         r = rho.reshape(dim, dim)
-        flat_r = r.reshape(-1)
         if out is None:
             out = np.empty((dim, dim), dtype=complex)
-        flat_out = out.reshape(-1)
-        for block, (w, s, u), (w2, s2), plan in blocks:
-            o = flat_out[block]
-            if phase is None:
-                o.fill(0.0)
-            else:
-                np.multiply(flat_r[block], phase[block], out=o)
-            for rate, zero, (ld, lc, lsrc), (rd, rc, rsrc), (td, jr, tsrc), (ud, jc, usrc) in plan:
-                # w = jump - 0.5 * (left + right), summed as -0.5 * (left +
-                # right) + jump: the same roundings.
-                for rows_ in zero:
-                    w2[rows_] = 0.0
-                np.multiply(lc, r[lsrc], out=w2[ld])
-                np.multiply(flat_r[rsrc], rc, out=s[rd])
-                w[rd] += s[rd]
-                np.multiply(w, -0.5, out=w)
-                np.multiply(jr, r[tsrc], out=s2[td])
-                np.multiply(s[usrc], jc, out=u[ud])
-                w[ud] += u[ud]
-                np.multiply(w, rate, out=w)
-                o += w
+        _lockstep([_one_phase(fill, r, out) for _, fill in parts])
         return out
 
+    rhs.parts = parts
     return rhs
 
 
@@ -242,32 +372,57 @@ def _integrate(rho: np.ndarray, rhs, t: float, n_steps: int) -> np.ndarray:
     slope and one stage input.  Each operation rounds as the plain expression
     r + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) with stage inputs r + (dt / 2) k,
     in that operand order, so the result is the same bits.
+
+    Each part of ``rhs`` (see ``_rhs_builder``) owns the rows of its range in
+    every buffer, and the parts run in lockstep through seven phases per
+    step, each ending at a barrier: stage 1 with its stage input, stage 2,
+    the second stage input with the slope sum, stage 3, the third stage
+    input with the slope sum, stage 4 with the new state, and the Hermitian
+    part.  A stage reads the whole stage input, and the Hermitian part reads
+    the state's columns, so only the phases after a barrier may write them.
+    The Hermitian part is written into the stage-slope buffer, which then
+    becomes the state.
     """
     dt = t / n_steps
-    r = rho.copy()
-    acc, k, x = np.empty_like(r), np.empty_like(r), np.empty_like(r)
-    for _ in range(n_steps):
-        rhs(r, acc)                           # acc = k1
-        np.multiply(0.5 * dt, acc, out=x)
-        np.add(r, x, out=x)
-        rhs(x, k)                             # k = k2
-        np.multiply(0.5 * dt, k, out=x)
-        np.add(r, x, out=x)
-        np.multiply(2.0, k, out=k)
-        np.add(acc, k, out=acc)               # acc = k1 + 2 k2
-        rhs(x, k)                             # k = k3
-        np.multiply(dt, k, out=x)
-        np.add(r, x, out=x)
-        np.multiply(2.0, k, out=k)
-        np.add(acc, k, out=acc)               # acc = k1 + 2 k2 + 2 k3
-        rhs(x, k)                             # k = k4
-        np.add(acc, k, out=acc)
-        np.multiply(dt / 6.0, acc, out=acc)
-        np.add(r, acc, out=r)
-        np.conjugate(r, out=x)                # enforce Hermiticity each step
-        np.add(r, x.T, out=acc)
-        np.multiply(0.5, acc, out=r)
-    return r
+    r, acc, k, x = rho.copy(), np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
+
+    def steps(rows, fill, r, k):
+        aa, xx = acc[rows], x[rows]
+        rr, kk = r[rows], k[rows]
+        for step in range(n_steps):
+            if step:
+                yield
+            fill(r, acc)                          # acc = k1
+            np.multiply(0.5 * dt, aa, out=xx)
+            np.add(rr, xx, out=xx)
+            yield
+            fill(x, k)                            # k = k2
+            yield
+            np.multiply(0.5 * dt, kk, out=xx)
+            np.add(rr, xx, out=xx)
+            np.multiply(2.0, kk, out=kk)
+            np.add(aa, kk, out=aa)                # acc = k1 + 2 k2
+            yield
+            fill(x, k)                            # k = k3
+            yield
+            np.multiply(dt, kk, out=xx)
+            np.add(rr, xx, out=xx)
+            np.multiply(2.0, kk, out=kk)
+            np.add(aa, kk, out=aa)                # acc = k1 + 2 k2 + 2 k3
+            yield
+            fill(x, k)                            # k = k4
+            np.add(aa, kk, out=aa)
+            np.multiply(dt / 6.0, aa, out=aa)
+            np.add(rr, aa, out=rr)
+            yield
+            kk[...] = r[:, rows].T                # enforce Hermiticity each step
+            np.conjugate(kk, out=kk)
+            np.add(rr, kk, out=kk)
+            np.multiply(0.5, kk, out=kk)
+            r, k, rr, kk = k, r, kk, rr
+
+    _lockstep([steps(rows, fill, r, k) for rows, fill in rhs.parts])
+    return k if n_steps % 2 else r
 
 
 def evolve_lindblad(rho: FockDensity, spec: LindbladSpec, t: float,

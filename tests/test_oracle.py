@@ -1,5 +1,13 @@
+import gc
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,7 +384,15 @@ class TestLindbladEvolution:
 
 class TestRowBlockKernels:
     """The row-block RHS and the preallocated RK4 loop against the kernels
-    they replaced, bit for bit."""
+    they replaced, bit for bit, at this host's worker count; the subclasses
+    below pin it to the caller alone and to the caller with the helper."""
+
+    workers = None
+
+    @pytest.fixture(autouse=True)
+    def pin_workers(self, monkeypatch):
+        if self.workers is not None:
+            monkeypatch.setattr(oracle, "_WORKERS", self.workers)
 
     @pytest.mark.parametrize("dims, gamma", [
         ((25,), [[GAMMA]]),
@@ -384,7 +400,9 @@ class TestRowBlockKernels:
         ((25, 16), CROSS),
         ((25, 25), CROSS),
         ((16, 25), [[1.0e3, 0.0], [0.0, 1.1e3]]),
-    ], ids=["one_mode_d25", "cross_16x16", "cross_25x16", "cross_25x25", "plain_16x25"])
+        ((9, 11), CROSS),
+    ], ids=["one_mode_d25", "cross_16x16", "cross_25x16", "cross_25x25", "plain_16x25",
+            "cross_9x11"])
     @pytest.mark.parametrize("hamiltonian", [False, True], ids=["h0", "h"])
     @pytest.mark.parametrize("rows", [None, 7], ids=["default_blocks", "blocks_of_7_rows"])
     def test_rhs_bits_equal_reference(self, monkeypatch, dims, gamma, hamiltonian, rows):
@@ -394,6 +412,8 @@ class TestRowBlockKernels:
         e = np.random.default_rng(5).normal(scale=1.0e4, size=dim) if hamiltonian else np.zeros(dim)
         spec = LindbladSpec(np.diag(e).astype(complex), np.array(gamma), dims)
         rhs, ref = _rhs_builder(spec), reference_rhs_builder(spec)
+        blocks = -(-dim // min(dim, oracle._BLOCK_ENTRIES // dim))
+        assert len(rhs.parts) == min(oracle._WORKERS, blocks)
         for rho in (random_hermitian(dim), cat_density(dims)):
             assert same_bits(rhs(rho), ref(rho))
             out = np.full((dim, dim), np.nan, dtype=complex)   # a reused buffer is overwritten
@@ -402,9 +422,10 @@ class TestRowBlockKernels:
     @pytest.mark.parametrize("dims, gamma, hamiltonian", [
         ((25,), [[GAMMA]], False),
         ((16, 16), CROSS, False),
+        ((16, 25), [[1.0e3, 0.0], [0.0, 1.1e3]], False),
         ((9, 11), CROSS, True),
-    ], ids=["one_mode_d25", "cross_16x16", "cross_9x11_hamiltonian"])
-    @pytest.mark.parametrize("n_steps", [1, 9])
+    ], ids=["one_mode_d25", "cross_16x16", "plain_16x25", "cross_9x11_hamiltonian"])
+    @pytest.mark.parametrize("n_steps", [1, 2, 9])
     def test_integrate_bits_equal_reference(self, dims, gamma, hamiltonian, n_steps):
         dim = int(np.prod(dims))
         e = 2.0 * math.pi * 1.0e4 * np.arange(dim) if hamiltonian else np.zeros(dim)
@@ -412,6 +433,16 @@ class TestRowBlockKernels:
         rho = cat_density(dims)
         out = _integrate(rho, _rhs_builder(spec), 3.0e-4, n_steps)
         assert same_bits(out, reference_integrate(rho, reference_rhs_builder(spec), 3.0e-4, n_steps))
+
+    @pytest.mark.parametrize("dims, gamma, hamiltonian", [
+        ((16, 25), [[1.0e3, 0.0], [0.0, 1.1e3]], False),
+        ((9, 11), CROSS, True),   # 15 blocks: split 8 and 7
+    ], ids=["plain_16x25", "cross_9x11_hamiltonian"])
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_integrate_in_blocks_of_7_rows_bits_equal_reference(self, monkeypatch, dims, gamma,
+                                                                hamiltonian, n_steps):
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 7 * int(np.prod(dims)))
+        self.test_integrate_bits_equal_reference(dims, gamma, hamiltonian, n_steps)
 
     @pytest.mark.parametrize("dims, gamma", [((25,), [[GAMMA]]), ((16, 16), CROSS)],
                              ids=["one_mode_d25", "cross_16x16"])
@@ -447,6 +478,183 @@ class TestRowBlockKernels:
         # of a 256 x 256 matrix
         assert 4.0 <= one < 4.25 and abs(nine - one) < 0.01, (one, nine)
         assert peak(reference_integrate, reference_rhs_builder(spec), 9) >= 6.0
+
+
+class TestRowBlockKernelsOnOneWorker(TestRowBlockKernels):
+    workers = 1
+
+
+class TestRowBlockKernelsOnTwoWorkers(TestRowBlockKernels):
+    workers = 2
+
+
+SRC = Path(oracle.__file__).resolve().parent.parent
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestHelperThread:
+    """The helper that runs the second row range of a multi-block spec."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_WORKERS", 2)
+
+    @staticmethod
+    def cross_16x16():
+        dims = (16, 16)
+        spec = LindbladSpec(np.zeros((256, 256), dtype=complex), np.array(CROSS), dims)
+        return FockDensity(cat_density(dims), dims), spec
+
+    def test_error_in_helper_reaches_caller_and_next_call_works(self):
+        where = []
+
+        def share(fail):
+            yield
+            where.append(threading.current_thread())
+            if fail:
+                raise KeyError("second phase")
+            yield
+
+        with pytest.raises(KeyError, match="second phase"):
+            oracle._lockstep([share(False), share(True)])
+        assert threading.main_thread() in where and len(set(where)) == 2
+        rho, spec = self.cross_16x16()
+        out = _integrate(rho.entries, _rhs_builder(spec), 3.0e-4, 3)
+        ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 3.0e-4, 3)
+        assert same_bits(out, ref)
+
+    def test_helper_drops_a_share_left_suspended_by_an_error(self):
+        held = []
+
+        def share(fail):
+            buffer = np.empty(4)
+            held.append(weakref.ref(buffer))
+            yield
+            if fail:
+                raise KeyError("caller's phase")
+            yield
+
+        with pytest.raises(KeyError):
+            oracle._lockstep([share(True), share(False)])
+        gc.collect()
+        assert len(held) == 2 and all(ref() is None for ref in held)
+
+    def test_no_array_outlives_the_evolution(self, monkeypatch):
+        made = []
+
+        def track(make):
+            def tracked(*args, **kwargs):
+                a = make(*args, **kwargs)
+                made.append(weakref.ref(a))
+                return a
+            return tracked
+
+        for name in ("empty", "empty_like"):
+            monkeypatch.setattr(np, name, track(getattr(np, name)))
+        rho, spec = self.cross_16x16()
+        out = evolve_lindblad(rho, spec, 3.0e-4, 1.0e-4)
+        monkeypatch.undo()
+        gc.collect()
+        alive = [ref() for ref in made if ref() is not None and ref() is not out.entries]
+        # the block buffers of both workers and the three RK4 buffers
+        assert len(made) >= 11 and not alive, [a.shape for a in alive]
+
+    def test_forked_child_integrates(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        out = run_python("""
+            import os
+            import signal
+            import numpy as np
+            from catteleport import oracle
+            oracle._WORKERS = 2
+            dims = (16, 16)
+            spec = oracle.LindbladSpec(np.zeros((256, 256), dtype=complex),
+                                       np.array([[1.0e3, 6.0e2], [6.0e2, 1.1e3]]), dims)
+            rho = oracle.FockDensity.from_vector(np.kron(oracle.coherent_to_fock(0.5, 15),
+                                                         oracle.coherent_to_fock(0.7j, 15)), dims)
+            first = oracle.evolve_lindblad(rho, spec, 3.0e-4, 1.0e-4).entries
+            assert oracle._HELPER is not None
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)   # a child stuck on a dead helper dies instead of lingering
+                again = oracle.evolve_lindblad(rho, spec, 3.0e-4, 1.0e-4).entries
+                os._exit(0 if again.tobytes() == first.tobytes() else 1)
+            print(os.waitpid(pid, 0)[1])
+        """)
+        assert out.split() == ["0"]
+
+    def test_callers_at_once_get_the_reference_bits(self):
+        # more callers than CPUs, switching threads often: one holds the
+        # helper, the others run both row ranges in turn
+        rho, spec = self.cross_16x16()
+        ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 3.0e-4, 3)
+        callers = 3
+        start = threading.Barrier(callers)
+        results = []
+
+        def caller():
+            start.wait()
+            results.extend(evolve_lindblad(rho, spec, 3.0e-4, 1.0e-4).entries for _ in range(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, daemon=True) for _ in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a caller is stuck"
+        assert len(results) == 3 * callers and all(same_bits(r, ref) for r in results)
+
+    def test_cli_import_and_one_mode_evolution_start_no_thread(self):
+        out = run_python("""
+            import threading
+            import numpy as np
+            import catteleport.cli
+            from catteleport import oracle
+            oracle._WORKERS = 2
+            before = threading.active_count()
+            dim = 49
+            spec = oracle.LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array([[1.0e3]]), (dim,))
+            rho = oracle.FockDensity.from_vector(oracle.coherent_to_fock(2.0, dim - 1), (dim,))
+            oracle.evolve_lindblad(rho, spec, 1.0e-4, 1.0e-5, verify_step=True)
+            print(before, threading.active_count())
+        """)
+        assert out.split() == ["1", "1"]
+
+    def test_one_cpu_runs_on_the_caller_with_the_same_bits(self, tmp_path):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        rho, spec = self.cross_16x16()
+        np.save(tmp_path / "rho.npy", rho.entries)
+        out = run_python(f"""
+            import os, threading
+            os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+            import numpy as np
+            from catteleport import oracle
+            spec = oracle.LindbladSpec(np.zeros((256, 256), dtype=complex),
+                                       np.array({CROSS!r}), (16, 16))
+            rho = np.load({str(tmp_path / "rho.npy")!r})
+            np.save({str(tmp_path / "out.npy")!r},
+                    oracle._integrate(rho, oracle._rhs_builder(spec), 3.0e-4, 3))
+            print(oracle._WORKERS, threading.active_count())
+        """)
+        ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 3.0e-4, 3)
+        assert out.split() == ["1", "1"] and same_bits(np.load(tmp_path / "out.npy"), ref)
 
 
 class TestDispersivePulse:
