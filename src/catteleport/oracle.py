@@ -14,7 +14,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,9 @@ def coherent_to_fock(a: complex, n_max: int) -> np.ndarray:
     a = complex(a)
     c = np.zeros(n_max + 1, dtype=complex)
     c[0] = math.exp(-0.5 * abs(a) ** 2)
+    if c[0] == 0.0:   # |a| above about 38.6
+        raise TruncationBreach(f"e^(-|a|^2/2) underflows to 0 for |a|={abs(a):.3f}, so the "
+                               "number-basis recurrence has no nonzero coefficient")
     for n in range(1, n_max + 1):
         c[n] = c[n - 1] * a / math.sqrt(n)
     tail = 1.0 - float(np.vdot(c, c).real)
@@ -114,6 +117,12 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # Entries per row block of the RHS: a worker's four block buffers stay in L2
 # cache, and with two workers each pass is long enough for both to gain.
 _BLOCK_ENTRIES = 8192 * _WORKERS
+
+# Entries per stack of states integrated together (see _evolve): one block,
+# run on the caller alone.  On oracle-check at |alpha| = 0.5 to 2.5, stacks
+# of 4 K entries, of 16 K on the caller and of 32 K to 128 K split across the
+# helper were all slower.
+_STACK_ENTRIES = 8192
 
 
 class _Helper:
@@ -217,8 +226,10 @@ def _one_phase(fn, *args):
     yield from ()
 
 
-def _rhs_builder(spec: LindbladSpec):
-    """Right-hand side of the master equation, acting on rho as a D x D matrix.
+def _rhs_builder(spec: LindbladSpec, members: int = 1):
+    """Right-hand side of the master equation, acting on a stack of
+    ``members`` density matrices rho, each D x D, as a (members * D) x D
+    array of rows.
 
     In the flat Fock index mode j has stride s_j (1 for the last mode), so
     moving its row (column) level by one moves whole rows (columns) of rho by
@@ -237,36 +248,47 @@ def _rhs_builder(spec: LindbladSpec):
     shift is then a shift of the block's flat index, with the column
     coefficient tiled along it: an entry whose source crosses into the next
     row has a cut column and takes 0 times that neighbour, where a
-    slice-based form would leave it unwritten.  The two can differ only in
-    the sign of a zero partial sum, which adding a nonzero value erases; the
-    tests hold the result to the slice-based form bit for bit.  A row
-    coefficient is first copied across a block buffer, so its product is a
-    flat pass too.
+    slice-based form would leave it unwritten.  A row shift that crosses
+    into the next member of a stack has a cut row in the same way.  The two
+    can differ only in the sign of a zero partial sum, which adding a
+    nonzero value erases; the tests hold the result to the slice-based form,
+    member by member, bit for bit.  A row coefficient is first copied across
+    a block buffer, so its product is a flat pass too.  A block of a stack
+    holds whole members.
 
-    The blocks are split into ``_WORKERS`` contiguous row ranges, each with
-    its own four block buffers; ``rhs.parts`` lists (row range, fill), where
-    ``fill(r, out)`` writes the rows of ``out`` in its range and reads any
-    row of ``r``.  A call ``rhs(rho, out)`` runs the parts on two threads
-    when there are two (a spec whose rho fits one block has one) and writes
-    into ``out`` when given; the buffers serve one call at a time.
+    ``rhs.plan(m)`` splits the blocks of the first m members into
+    ``_WORKERS`` contiguous row ranges, each with its own four block
+    buffers, and lists (row range, fill), where ``fill(r, out)`` writes the
+    rows of ``out`` in its range and reads any row of the first m members
+    of ``r``; ``rhs.parts`` is the plan of the whole stack.  A call
+    ``rhs(rho, out)`` runs the parts on two threads when there are two (a
+    stack that fits one block has one) and writes into ``out`` when given;
+    the buffers serve one call at a time.
     """
     dims = spec.mode_dims
     dim = int(np.prod(dims))
     strides = [int(np.prod(dims[j + 1:])) for j in range(len(dims))]
     levels = [np.arange(dim) // s % d for s, d in zip(strides, dims)]
     energies = np.diagonal(spec.hamiltonian).real
-    phase = (-1j * (energies[:, None] - energies)).reshape(-1) if energies.any() else None
+    phase = (np.concatenate([(-1j * (energies[:, None] - energies)).reshape(-1)] * members)
+             if energies.any() else None)
     roots = [np.sqrt(np.arange(d, dtype=float)) for d in dims]
     lower = [np.append(r[1:], 0.0) for r in roots]   # sqrt(m + 1), 0 on the top level
 
-    rows = min(dim, max(1, _BLOCK_ENTRIES // dim))
+    rows = min(members * dim, max(1, _BLOCK_ENTRIES // dim))
+    if members > 1:
+        if rows < dim:
+            raise ValueError(f"a block of {_BLOCK_ENTRIES} entries holds no whole "
+                             f"{dim} x {dim} member of a stack")
+        rows -= rows % dim
 
     def at(j, values):
         """Per-level ``values`` of mode j at every flat index."""
         return values[levels[j]]
 
     def by_row(values):
-        return values.astype(complex)[:, None]
+        """Per stack row."""
+        return np.concatenate([values.astype(complex)] * members)[:, None]
 
     def by_column(values):
         """Tiled over the flat index of a block of ``rows`` rows."""
@@ -298,22 +320,25 @@ def _rhs_builder(spec: LindbladSpec):
         stop = max(start, min(hi, size - shift))
         return slice(start - lo, stop - lo), slice(start + shift, stop + shift)
 
-    def part(starts):
-        """The rows of the blocks starting at ``starts`` and their fill."""
+    n_parts = min(_WORKERS, -(-members * dim // rows))
+    buffers = [[np.empty(rows * dim, dtype=complex) for _ in range(4)] for _ in range(n_parts)]
+
+    def part(starts, size, buffers):
+        """The rows of the blocks starting at ``starts`` below row ``size``
+        and their fill."""
         # Per block: its flat range and, per term, the rows the left product
         # leaves at zero, then (destination, coefficient, source) of the left
         # product, the right product and the jump's row and column halves.
         # The left product and the jump's row half index rows of the block;
         # the rest index its flat entries.
-        buffers = [np.empty(rows * dim, dtype=complex) for _ in range(4)]
         blocks = []
         for b0 in starts:
-            b1 = min(dim, b0 + rows)
+            b1 = min(size, b0 + rows)
             plan = []
             for rate, (ls, lc), (rs, rc), (js, jr, jcs, jc) in terms:
-                ld, lsrc = span(ls, b0, b1, dim)
-                rd, rsrc = span(rs, b0 * dim, b1 * dim, dim * dim)
-                td, tsrc = span(js, b0, b1, dim)
+                ld, lsrc = span(ls, b0, b1, size)
+                rd, rsrc = span(rs, b0 * dim, b1 * dim, size * dim)
+                td, tsrc = span(js, b0, b1, size)
                 ud, usrc = span(jcs, 0, td.stop * dim, td.stop * dim)
                 plan.append((rate, (slice(None, ld.start), slice(ld.stop, None)),
                              (ld, lc[b0:b1][ld], lsrc), (rd, rc[rd], rsrc),
@@ -347,108 +372,200 @@ def _rhs_builder(spec: LindbladSpec):
                     np.multiply(w, rate, out=w)
                     o += w
 
-        return slice(starts[0], min(dim, starts[-1] + rows)), fill
+        return slice(starts[0], min(size, starts[-1] + rows)), fill
 
-    starts = range(0, dim, rows)
-    per = -(-len(starts) // min(_WORKERS, len(starts)))
-    parts = [part(starts[i:i + per]) for i in range(0, len(starts), per)]
+    plans = {}
+
+    def plan(m):
+        if m not in plans:
+            starts = range(0, m * dim, rows)
+            per = -(-len(starts) // min(n_parts, len(starts)))
+            plans[m] = [part(starts[i:i + per], m * dim, b)
+                        for i, b in zip(range(0, len(starts), per), buffers)]
+        return plans[m]
 
     def rhs(rho: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        r = rho.reshape(dim, dim)
+        r = rho.reshape(-1, dim)
         if out is None:
-            out = np.empty((dim, dim), dtype=complex)
-        _lockstep([_one_phase(fill, r, out) for _, fill in parts])
+            out = np.empty_like(rho)
+        _lockstep([_one_phase(fill, r, out) for _, fill in plan(len(r) // dim)])
         return out
 
-    rhs.parts = parts
+    rhs.plan, rhs.parts = plan, plan(members)
     return rhs
 
 
-def _integrate(rho: np.ndarray, rhs, t: float, n_steps: int) -> np.ndarray:
-    """``n_steps`` classical RK4 steps of size t / n_steps, each followed by
-    the Hermitian part 0.5 * (r + r^+).
+def _integrate(rho: np.ndarray, rhs, t, n_steps) -> np.ndarray:
+    """Each member of the stack ``rho`` (see ``_rhs_builder``) after its own
+    ``n_steps`` classical RK4 steps of size t / n_steps, each followed by the
+    Hermitian part 0.5 * (r + r^+); ``t`` and ``n_steps`` are numbers or one
+    per member, the members in order of step count, most first.
 
-    Four D x D buffers serve every step: the state, the slope sum, one stage
+    Four stack buffers serve every step: the state, the slope sum, one stage
     slope and one stage input.  Each operation rounds as the plain expression
     r + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) with stage inputs r + (dt / 2) k,
-    in that operand order, so the result is the same bits.
+    in that operand order, with each member's own dt / 2, dt and dt / 6, so
+    the result is the same bits as for that member alone.  The members still
+    running are the first m: each operation is one pass over them, and a
+    member that has taken its steps drops out, its rows left as they are in
+    the buffer that holds the state after its step count (even or odd), from
+    which the end gathers them.
 
-    Each part of ``rhs`` (see ``_rhs_builder``) owns the rows of its range in
-    every buffer, and the parts run in lockstep through seven phases per
-    step, each ending at a barrier: stage 1 with its stage input, stage 2,
-    the second stage input with the slope sum, stage 3, the third stage
-    input with the slope sum, stage 4 with the new state, and the Hermitian
-    part.  A stage reads the whole stage input, and the Hermitian part reads
-    the state's columns, so only the phases after a barrier may write them.
-    The Hermitian part is written into the stage-slope buffer, which then
-    becomes the state.
+    Each part of ``rhs.plan(m)`` owns the rows of its range in every buffer,
+    and the parts run in lockstep through seven phases per step, each ending
+    at a barrier: stage 1 with its stage input, stage 2, the second stage
+    input with the slope sum, stage 3, the third stage input with the slope
+    sum, stage 4 with the new state, and the Hermitian part.  A stage reads
+    the whole stage input, and the Hermitian part reads the state's columns,
+    so only the phases after a barrier may write them.  The Hermitian part is
+    written into the stage-slope buffer, which then becomes the state.
     """
-    dt = t / n_steps
-    r, acc, k, x = rho.copy(), np.empty_like(rho), np.empty_like(rho), np.empty_like(rho)
+    dim = rho.shape[1]
+    members = len(rho) // dim
+    if np.ndim(n_steps) == 0:
+        t, n_steps = [t] * members, [n_steps] * members
+    n_steps = [int(n) for n in n_steps]
+    if n_steps != sorted(n_steps, reverse=True):
+        raise ValueError(f"step counts {n_steps} are not in order, most first")
+    dt = [float(t) / n if n else 0.0 for t, n in zip(t, n_steps)]
 
-    def steps(rows, fill, r, k):
-        aa, xx = acc[rows], x[rows]
-        rr, kk = r[rows], k[rows]
-        for step in range(n_steps):
-            if step:
+    def per_member(scale):
+        return np.array([scale(d) for d in dt], dtype=complex)[:, None]
+
+    half, full, sixth = per_member(lambda d: 0.5 * d), per_member(float), per_member(lambda d: d / 6.0)
+    states = (rho.copy(), np.empty_like(rho))
+    acc, x = np.empty_like(rho), np.empty_like(rho)
+
+    def steps(rows, fill, first, last):
+        """Steps ``first`` to ``last`` - 1 of the members in ``rows``."""
+        # whole members m0 to m1 - 1, or rows p0 to p1 - 1 of member m0
+        m0, p0 = divmod(rows.start, dim)
+        m1 = max(m0 + 1, rows.stop // dim)
+        p1 = rows.stop - (m1 - 1) * dim
+
+        def own(a):
+            """The range's rows of ``a``, one row per member."""
+            return a.reshape(members, dim, dim)[m0:m1, p0:p1].reshape(m1 - m0, -1)
+
+        h, f, s = half[m0:m1], full[m0:m1], sixth[m0:m1]
+        aa, xx = own(acc), own(x)
+        mine = [own(a) for a in states]
+        # a state's columns in the range, as the range's rows of its
+        # transpose, and the range of the other state that takes them
+        flipped = [a.reshape(members, dim, dim)[m0:m1, :, p0:p1].transpose(0, 2, 1)
+                   for a in states]
+        flip_into = [a.reshape(flipped[0].shape) for a in mine]
+        i = first % 2   # states[i] holds the state
+        for step in range(first, last):
+            if step > first:
                 yield
+            r, k, rr, kk = states[i], states[1 - i], mine[i], mine[1 - i]
             fill(r, acc)                          # acc = k1
-            np.multiply(0.5 * dt, aa, out=xx)
+            np.multiply(h, aa, out=xx)
             np.add(rr, xx, out=xx)
             yield
             fill(x, k)                            # k = k2
             yield
-            np.multiply(0.5 * dt, kk, out=xx)
+            np.multiply(h, kk, out=xx)
             np.add(rr, xx, out=xx)
             np.multiply(2.0, kk, out=kk)
             np.add(aa, kk, out=aa)                # acc = k1 + 2 k2
             yield
             fill(x, k)                            # k = k3
             yield
-            np.multiply(dt, kk, out=xx)
+            np.multiply(f, kk, out=xx)
             np.add(rr, xx, out=xx)
             np.multiply(2.0, kk, out=kk)
             np.add(aa, kk, out=aa)                # acc = k1 + 2 k2 + 2 k3
             yield
             fill(x, k)                            # k = k4
             np.add(aa, kk, out=aa)
-            np.multiply(dt / 6.0, aa, out=aa)
+            np.multiply(s, aa, out=aa)
             np.add(rr, aa, out=rr)
             yield
-            kk[...] = r[:, rows].T                # enforce Hermiticity each step
+            flip_into[1 - i][...] = flipped[i]    # enforce Hermiticity each step
             np.conjugate(kk, out=kk)
             np.add(rr, kk, out=kk)
             np.multiply(0.5, kk, out=kk)
-            r, k, rr, kk = k, r, kk, rr
+            i = 1 - i
 
-    _lockstep([steps(rows, fill, r, k) for rows, fill in rhs.parts])
-    return k if n_steps % 2 else r
+    done = 0
+    for running in range(members, 0, -1):
+        last = n_steps[running - 1]
+        if last > done:
+            _lockstep([steps(rows, fill, done, last) for rows, fill in rhs.plan(running)])
+            done = last
+    out = states[done % 2]
+    for i, n in enumerate(n_steps):
+        if n % 2 != done % 2:
+            out[i * dim:(i + 1) * dim] = states[n % 2][i * dim:(i + 1) * dim]
+    return out
 
 
-def evolve_lindblad(rho: FockDensity, spec: LindbladSpec, t: float,
-                    dt_max: float, verify_step: bool = False) -> FockDensity:
-    """Fixed-step RK4 integration of the zero-temperature master equation."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    if tuple(rho.mode_dims) != tuple(spec.mode_dims):
-        raise ValueError(f"rho has mode_dims {rho.mode_dims}, spec has {spec.mode_dims}")
-    if t == 0.0:
-        return FockDensity(rho.entries.copy(), rho.mode_dims)
-    rhs = _rhs_builder(spec)
-    n_steps = max(1, math.ceil(t / dt_max))
-    out = _integrate(rho.entries, rhs, t, n_steps)
-    if verify_step:
-        refined = _integrate(rho.entries, rhs, t, 2 * n_steps)
-        change = np.abs(out - refined).max()
-        if change > 1e-8:
-            raise StepSizeRejected(f"halving dt changed entries by {change:.3e}")
-        out = refined
+def _evolve(states, spec: LindbladSpec, times, n_steps) -> list:
+    """Each of ``states`` (D x D arrays) integrated ``n_steps[i]`` RK4 steps
+    to ``times[i]`` (see ``_integrate``), in input order.  The states run in
+    stacks of at most ``_STACK_ENTRIES`` entries or one member each, one
+    stack after another, members of like step counts together."""
+    dim = int(np.prod(spec.mode_dims))
+    per = max(1, _STACK_ENTRIES // (dim * dim))
+    order = sorted(range(len(states)), key=lambda i: -n_steps[i])
+    rhs = _rhs_builder(spec, min(per, max(1, len(states))))
+    out = [None] * len(states)
+    for g in range(0, len(order), per):
+        group = order[g:g + per]
+        stack = states[group[0]] if len(group) == 1 else np.concatenate([states[i] for i in group])
+        evolved = _integrate(stack, rhs, [times[i] for i in group], [n_steps[i] for i in group])
+        for i, member in zip(group, [evolved] if len(group) == 1 else evolved.reshape(-1, dim, dim)):
+            out[i] = member
+    return out
+
+
+def _checked(rho: FockDensity, out: np.ndarray) -> FockDensity:
+    """``out`` as the evolved ``rho``, once its trace and truncation pass."""
     tr = np.trace(out).real
     if not abs(tr - np.trace(rho.entries).real) <= 1e-10:   # NaN fails too
         raise ValueError(f"trace drifted by {tr - 1.0:.3e} during integration")
     result = FockDensity(out, rho.mode_dims)
     result.check_truncation()
     return result
+
+
+def _step_count(rho: FockDensity, spec: LindbladSpec, t: float, dt_max: float) -> int:
+    """RK4 steps to reach ``t``, after the checks of the arguments."""
+    if t < 0.0:
+        raise ValueError("t must be non-negative")
+    if tuple(rho.mode_dims) != tuple(spec.mode_dims):
+        raise ValueError(f"rho has mode_dims {rho.mode_dims}, spec has {spec.mode_dims}")
+    return max(1, math.ceil(t / dt_max)) if t else 0
+
+
+def evolve_lindblad(rho: FockDensity, spec: LindbladSpec, t: float,
+                    dt_max: float, verify_step: bool = False) -> FockDensity:
+    """Fixed-step RK4 integration of the zero-temperature master equation."""
+    n_steps = _step_count(rho, spec, t, dt_max)
+    if not n_steps:
+        return FockDensity(rho.entries.copy(), rho.mode_dims)
+    if not verify_step:
+        return _checked(rho, _evolve([rho.entries], spec, [t], [n_steps])[0])
+    out, refined = _evolve([rho.entries] * 2, spec, [t, t], [n_steps, 2 * n_steps])
+    change = np.abs(out - refined).max()
+    if change > 1e-8:
+        raise StepSizeRejected(f"halving dt changed entries by {change:.3e}")
+    return _checked(rho, refined)
+
+
+def evolve_lindblad_many(rhos, spec: LindbladSpec, times, dt_max: float) -> Iterator[FockDensity]:
+    """``evolve_lindblad(rho, spec, t, dt_max)`` for each rho of ``rhos`` and
+    t of ``times``, integrated together (see ``_evolve``) before this
+    returns.  The results come in order from the returned iterator, each
+    checked as it is reached, so a caller that checks each result in turn
+    meets the first error that a loop over ``evolve_lindblad`` would raise."""
+    rhos, times = list(rhos), [float(t) for t in times]
+    n_steps = [_step_count(rho, spec, t, dt_max) for rho, t in zip(rhos, times)]
+    evolved = _evolve([rho.entries for rho in rhos], spec, times, n_steps)
+    return (_checked(rho, out) if n else FockDensity(out, rho.mode_dims)
+            for rho, out, n in zip(rhos, evolved, n_steps))
 
 
 def cat_state_vector(spec: CatSpec, n_max: int) -> np.ndarray:
@@ -466,7 +583,10 @@ def oracle_fidelity(rho: FockDensity, spec: CatSpec) -> float:
     """<Psi|rho|Psi> with |Psi> built by direct Fock expansion."""
     if len(rho.mode_dims) != 1:
         raise ValueError("oracle fidelity is single-mode")
-    psi = cat_state_vector(spec, len(rho.entries) - 1)
+    return _fidelity_to(rho, cat_state_vector(spec, len(rho.entries) - 1))
+
+
+def _fidelity_to(rho: FockDensity, psi: np.ndarray) -> float:
     f = float(np.real(psi.conj() @ rho.entries @ psi))
     if f > 1.0 + 1e-9:
         raise ValueError(f"fidelity {f!r} above 1")
@@ -488,14 +608,26 @@ def mixture_to_fock(mixture: CatMixture, n_max: Optional[int] = None) -> FockDen
     return FockDensity(rho, (n_max + 1,))
 
 
-def mixture_fidelity(mixture: CatMixture, spec: CatSpec) -> float:
+def mixture_fidelity(mixture: CatMixture, spec: CatSpec,
+                     targets: Optional[dict] = None) -> float:
     """Oracle fidelity of ``mixture`` to the cat in ``spec``: on the mixture's
-    own basis, enlarged to hold that cat only when the cat breaches there."""
+    own basis, enlarged to hold that cat only when the cat breaches there.
+
+    ``targets`` is a dict that a caller scoring many mixtures against one
+    ``spec`` passes to every call: it keeps the cat's vector per basis size,
+    so each is built once."""
+    targets = {} if targets is None else targets
+
+    def scored(n_max):
+        rho = mixture_to_fock(mixture, n_max)
+        if n_max not in targets:
+            targets[n_max] = cat_state_vector(spec, n_max)
+        return _fidelity_to(rho, targets[n_max])
+
     try:
-        return oracle_fidelity(mixture_to_fock(mixture), spec)
+        return scored(required_n_max(mixture.amp))
     except TruncationBreach:
-        n_max = required_n_max(mixture.amp, spec.alpha)
-        return oracle_fidelity(mixture_to_fock(mixture, n_max), spec)
+        return scored(required_n_max(mixture.amp, spec.alpha))
 
 
 def coherent_pair_weights(rho: FockDensity, amp: complex) -> np.ndarray:

@@ -12,17 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catteleport import cli, dynamics
+from catteleport import cli, dynamics, oracle
 from catteleport.cli import _write_csv, build_parser, cmd_coeffs, main
 from catteleport.config import RunConfig, default_config, load_config, parse_config
 from catteleport.dynamics import (
     coefficient_grid,
+    decoherence_Z,
     drain_params,
     to_rotating_frame,
     u_full,
     u_simplified,
 )
 from catteleport.errors import ConfigError, ConsistencyError
+from catteleport.fidelity import build_rho1, fidelity
 
 
 def run_cli(tmp_path, *argv):
@@ -498,7 +500,81 @@ class TestFidelityCommand:
             assert float(r["abs_dF"]) < 1e-9
 
 
+def oracle_check_per_point(cfg, args):
+    """cmd_oracle_check as a loop over its points, each state integrated from
+    t = 0 by its own evolve_lindblad call: the reference of the stacked
+    command."""
+    ms = cfg.mode_system()
+    gbar = ms.mean_damping_rate
+    pc = cfg.protocol_config()
+    alpha, spec = cfg.alpha, pc.target
+    cross = cfg.parity * pc.c_plus * pc.c_minus
+    dt_max = 1.0 / (50.0 * gbar)
+    steps = 50.0 * gbar * cfg.t_max_s
+    if not steps <= cli.ORACLE_MAX_STEPS:
+        raise ConfigError(f"oracle-check would take {steps:.3g} RK4 steps of 1/(50 gamma_bar) "
+                          f"to reach t_max_s, above its budget of {cli.ORACLE_MAX_STEPS}: raise "
+                          "gamma11_inv_s or gamma22_inv_s, or lower t_max_s")
+    n_max = oracle.required_n_max(alpha)
+    dims = (n_max + 1,)
+    lspec = oracle.LindbladSpec(np.zeros((n_max + 1, n_max + 1), dtype=complex),
+                                np.array([[gbar]]), dims)
+    rows = []
+    rho_coh = oracle.FockDensity.from_vector(oracle.coherent_to_fock(alpha, n_max), dims)
+    rho_cat = oracle.FockDensity.from_vector(oracle.cat_state_vector(spec, n_max), dims)
+    for t in np.linspace(cfg.t_max_s / 10.0, cfg.t_max_s, 10):
+        t = float(t)
+        u11 = u_simplified(ms, t).u11
+        evolved = oracle.evolve_lindblad(rho_coh, lspec, t, dt_max)
+        checks = [("coherent_transport",
+                   1.0 - oracle.coherent_fidelity(evolved, u11 * alpha), 1e-6)]
+        if cross:
+            evolved_cat = oracle.evolve_lindblad(rho_cat, lspec, t, dt_max)
+            try:
+                z_oracle = oracle.extract_cat_coherence(evolved_cat, u11 * alpha)
+            except ConsistencyError as exc:
+                raise ConsistencyError(
+                    f"decoherence_Z at t={t!r}: {exc}; c_plus = {cfg.c_plus!r} and "
+                    f"c_minus = {cfg.c_minus!r} leave one cat component too weak to "
+                    "check") from None
+            z_ana = decoherence_Z(alpha, abs(u11))
+            checks.append(("decoherence_Z",
+                           abs(z_oracle - math.copysign(z_ana, cross)) / z_ana, 1e-4))
+        mixture = build_rho1(spec, u11)
+        f_orc = oracle.mixture_fidelity(mixture, spec)
+        checks.append(("dual_path_fidelity", abs(fidelity(spec, mixture) - f_orc), 1e-8))
+        rows += [[check, t, value, threshold, "pass" if value <= threshold else "fail"]
+                 for check, value, threshold in checks]
+    ok = all(row[-1] == "pass" for row in rows)
+    return ["check", "t", "value", "threshold", "status"], rows, ok
+
+
 class TestOracleCheckCommand:
+    @pytest.mark.parametrize("text", [
+        "alpha_re=0.5\n",
+        "alpha_re=2.5\nt_max_s=6e-4\n",
+        "parity=-1\nalpha_re=1.3\nalpha_im=0.4\n",
+        # a coherent state: the stack holds the coherent members alone
+        "c_minus=0\nc_plus=1\n",
+        "c_plus=0.6\nc_minus=-0.8\ngamma12=2e2\ngamma21=2e2\n",
+        # the top levels of the 145-level basis are unstable under RK4 at
+        # dt = 1/(50 gamma_bar): the trace drifts at the fifth point first
+        "alpha_re=8\n",
+    ], ids=["alpha_0.5", "alpha_2.5", "odd_parity", "coherent_only", "cross_damped",
+            "trace_drift_at_fifth_point"])
+    def test_same_bytes_and_exit_as_the_per_point_loop(self, tmp_path, monkeypatch, capsys, text):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        runs = []
+        for command in (cli.cmd_oracle_check, oracle_check_per_point):
+            monkeypatch.setattr(cli, "cmd_oracle_check", command)
+            out = tmp_path / f"{command.__name__}.csv"
+            code = main(["oracle-check", "--config", str(p), "--out", str(out)])
+            runs.append((code, out.read_bytes(), capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        if text == "alpha_re=8\n":
+            assert runs[0][0] == 3 and "trace drifted" in runs[0][2]
+
     @pytest.mark.parametrize("extra, checks", [
         ("", {"coherent_transport", "decoherence_Z", "dual_path_fidelity"}),
         ("parity=-1\n", {"coherent_transport", "decoherence_Z", "dual_path_fidelity"}),

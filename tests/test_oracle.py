@@ -186,6 +186,23 @@ class TestFockBasics:
         with pytest.raises(TruncationBreach):
             coherent_to_fock(3.0, 6)
 
+    @pytest.mark.parametrize("a", [39.0, -39.0j, 50.0 + 10.0j], ids=["39", "minus_39j", "51"])
+    def test_underflowing_vacuum_coefficient_is_named(self, a):
+        # e^{-|a|^2/2} is 0.0 in double precision from |a| of about 38.6 on;
+        # the tail check would report a tail mass of 1 instead
+        with pytest.raises(TruncationBreach, match=rf"underflows to 0 for \|a\|={abs(a):.3f}"):
+            coherent_to_fock(a, required_n_max(a))
+
+    @pytest.mark.parametrize("a", [1.0 + 0.5j, 38.5, 38.6j], ids=["normal", "subnormal",
+                                                                "least_subnormal"])
+    def test_nonzero_vacuum_coefficient_keeps_the_recurrence(self, a):
+        n_max = required_n_max(a)
+        c = np.zeros(n_max + 1, dtype=complex)
+        c[0] = math.exp(-0.5 * abs(a) ** 2)
+        for n in range(1, n_max + 1):
+            c[n] = c[n - 1] * a / math.sqrt(n)
+        assert c[0] > 0.0 and same_bits(coherent_to_fock(a, n_max), c)
+
     def test_required_n_max_keeps_tail_small(self):
         for a in (0.3, 1.0, 2.0, 2.5):
             c = coherent_to_fock(a, required_n_max(a))
@@ -279,6 +296,31 @@ class TestLindbladEvolution:
         target = np.kron(ua, ub)
         f = float(np.real(target.conj() @ out.entries @ target))
         assert f == pytest.approx(1.0, abs=1e-7)
+
+    def test_many_states_equal_one_call_each(self):
+        a0 = 1.0
+        dim = required_n_max(a0) + 1
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array([[GAMMA]]), (dim,))
+        coh = FockDensity.from_vector(coherent_to_fock(a0, dim - 1), (dim,))
+        cat = FockDensity.from_vector(cat_state_vector(CatSpec(INV, INV, a0, 1), dim - 1), (dim,))
+        rhos, times = [coh, cat, coh, cat, coh], [0.0, 0.0, 1.0e-4, 1.0e-4, 3.5e-4]
+        many = list(oracle.evolve_lindblad_many(rhos, spec, times, 1.0 / (50.0 * GAMMA)))
+        one = [evolve_lindblad(rho, spec, t, 1.0 / (50.0 * GAMMA)) for rho, t in zip(rhos, times)]
+        assert all(same_bits(m.entries, o.entries) and m.mode_dims == o.mode_dims
+                   for m, o in zip(many, one)) and len(many) == 5
+        assert list(oracle.evolve_lindblad_many([], spec, [], 1.0e-5)) == []
+
+    def test_many_states_check_each_result_when_reached(self):
+        # the second state's rate overflows its RK4 stages: the first result
+        # still comes out, the second raises the trace check
+        dim = 9
+        rho = FockDensity.from_vector(coherent_to_fock(0.5, dim - 1), (dim,))
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array([[1e300]]), (dim,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            evolved = oracle.evolve_lindblad_many([rho, rho], spec, [0.0, 1e-3], 1e-3)
+        assert same_bits(next(evolved).entries, rho.entries)
+        with pytest.raises(ValueError, match="trace drifted"):
+            next(evolved)
 
     def test_step_verification_accepts_fine_grid(self):
         a0 = 0.8
@@ -454,6 +496,107 @@ class TestRowBlockKernels:
         # verify_step integrates at 5 and 10 steps and returns the finer result
         ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 1.0e-4, 10)
         assert same_bits(out.entries, ref)
+
+    @staticmethod
+    def members_equal_reference(spec, states, times, n_steps, out):
+        ref = reference_rhs_builder(spec)
+        return len(out) == len(states) and all(
+            same_bits(o, reference_integrate(s, ref, t, n))
+            for o, s, t, n in zip(out, states, times, n_steps))
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.5], ids=["d21", "d43"])
+    @pytest.mark.parametrize("block_members", [None, 2], ids=["one_block", "blocks_of_2_members"])
+    def test_stack_with_mixed_step_counts_bits_equal_reference(self, monkeypatch, alpha,
+                                                               block_members):
+        dim = required_n_max(alpha) + 1
+        if block_members is not None:   # two blocks, one per worker when there are two
+            monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", block_members * dim * dim)
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array([[GAMMA]]), (dim,))
+        cat = CatSpec(INV, INV, alpha, 1)
+        states = [FockDensity.from_vector(v, (dim,)).entries for v in (
+            coherent_to_fock(alpha, dim - 1), cat_state_vector(cat, dim - 1),
+            coherent_to_fock(-0.5j * alpha, dim - 1))]
+        states.append(random_hermitian(dim) / dim)
+        # an odd count, a tie of even counts and one step: every parity of
+        # drop-out
+        n_steps, times = [7, 4, 4, 1], [3.5e-4, 2.0e-4, 1.0e-4, 5.0e-5]
+        rhs = _rhs_builder(spec, len(states))
+        assert len(rhs.parts) == (1 if block_members is None else oracle._WORKERS)
+        out = _integrate(np.concatenate(states), rhs, times, n_steps).reshape(-1, dim, dim)
+        assert self.members_equal_reference(spec, states, times, n_steps, out)
+        with pytest.raises(ValueError, match="not in order"):
+            _integrate(np.concatenate(states), rhs, times, n_steps[::-1])
+
+    def test_two_mode_stack_with_hamiltonian_bits_equal_reference(self):
+        dims, dim = (8, 11), 88   # one member per block on one CPU: three blocks
+        e = 2.0 * math.pi * 1.0e4 * np.arange(dim)
+        spec = LindbladSpec(np.diag(e).astype(complex), np.array(CROSS), dims)
+        states = [cat_density(dims), random_hermitian(dim) / dim, cat_density(dims)[::-1, ::-1].copy()]
+        n_steps, times = [5, 2, 1], [3.0e-4, 1.0e-4, 4.0e-5]
+        out = _integrate(np.concatenate(states), _rhs_builder(spec, 3), times, n_steps)
+        assert self.members_equal_reference(spec, states, times, n_steps, out.reshape(-1, dim, dim))
+
+    @pytest.mark.parametrize("budget_members", [1, 2, 3])
+    def test_groups_of_a_smaller_budget_bits_equal_reference(self, monkeypatch, budget_members):
+        dim = 21
+        monkeypatch.setattr(oracle, "_STACK_ENTRIES", budget_members * dim * dim + dim)
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array([[GAMMA]]), (dim,))
+        states = [random_hermitian(dim, seed) / dim for seed in range(7)]
+        n_steps = [3, 1, 6, 2, 5, 1, 4]
+        times = [1.0e-5 * (i + 1) * n for i, n in enumerate(n_steps)]
+        built = []
+        monkeypatch.setattr(oracle, "_rhs_builder", lambda spec, members: built.append(
+            members) or _rhs_builder(spec, members))
+        out = oracle._evolve(states, spec, times, n_steps)
+        assert built == [budget_members]
+        assert self.members_equal_reference(spec, states, times, n_steps, out)
+
+    @pytest.mark.parametrize("dims, gamma", [((25,), [[GAMMA]]), ((16, 16), CROSS)],
+                             ids=["one_mode_d25", "cross_16x16"])
+    def test_verify_pair_is_one_stack_that_fits(self, monkeypatch, dims, gamma):
+        dim = int(np.prod(dims))
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array(gamma), dims)
+        rho = FockDensity(cat_density(dims), dims)
+        built = []
+        monkeypatch.setattr(oracle, "_rhs_builder", lambda spec, members: built.append(
+            members) or _rhs_builder(spec, members))
+        ref = reference_rhs_builder(spec)
+        # the coarse pass's result is what the check compares against
+        coarse = reference_integrate(rho.entries, ref, 1.0e-4, 5)
+        fine = reference_integrate(rho.entries, ref, 1.0e-4, 10)
+        seen = []
+        real_evolve = oracle._evolve
+        monkeypatch.setattr(oracle, "_evolve", lambda *a: seen.append(real_evolve(*a)) or seen[-1])
+        out = evolve_lindblad(rho, spec, 1.0e-4, 2.0e-5, verify_step=True)
+        assert built == [2 if 2 * dim * dim <= oracle._STACK_ENTRIES else 1]
+        assert same_bits(seen[0][0], coarse) and same_bits(seen[0][1], fine)
+        assert same_bits(out.entries, fine)
+
+    @pytest.mark.parametrize("budget_members", [None, 4], ids=["default_budget", "budget_4"])
+    def test_stack_memory_stays_within_one_group(self, monkeypatch, budget_members):
+        # 20 members at d = 21: the results, then one group's stack buffers
+        # and block buffers at a time
+        dim = 21
+        if budget_members is not None:
+            monkeypatch.setattr(oracle, "_STACK_ENTRIES", budget_members * dim * dim)
+        matrix = dim * dim * np.dtype(complex).itemsize
+        spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array([[GAMMA]]), (dim,))
+        states = [random_hermitian(dim, seed) / dim for seed in range(20)]
+        n_steps = [1 + i % 7 for i in range(20)]
+        times = [1.0e-5 * n for n in n_steps]
+        per = max(1, oracle._STACK_ENTRIES // (dim * dim))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = oracle._evolve(states, spec, times, n_steps)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / matrix
+        finally:
+            tracemalloc.stop()
+        # the 20 results, plus twelve matrices per member of one group: four
+        # stack buffers, four block buffers, two tiled column coefficients
+        # (and a temporary while tiling one) and the gathered input
+        assert peak <= 20 + 12 * min(per, 20) + 1, (peak, per)
+        assert self.members_equal_reference(spec, states, times, n_steps, out)
 
     def test_integration_peaks_at_four_matrices_whatever_the_step_count(self):
         # the state and three stage buffers; the allocating loop peaks above seven
@@ -711,6 +854,19 @@ class TestAnalyticCrossChecks:
         assert mixture_fidelity(mix, spec) == pytest.approx(fidelity_at(spec, u), abs=1e-9)
         fit = build_rho1(spec, 0.8)
         assert mixture_fidelity(fit, spec) == oracle_fidelity(mixture_to_fock(fit), spec)
+
+    def test_mixture_fidelity_builds_each_kept_target_once(self, monkeypatch):
+        # two mixtures on one basis, and two whose basis the alpha = 2.5 cat
+        # breaches, scored on the same enlarged basis
+        spec = CatSpec(INV, INV, 2.5, 1)
+        mixes = [build_rho1(spec, u) for u in (0.9, 0.9, 0.8, math.exp(-2.5), math.exp(-2.6))]
+        plain = [mixture_fidelity(m, spec) for m in mixes]
+        built = []
+        real = oracle.cat_state_vector
+        monkeypatch.setattr(oracle, "cat_state_vector", lambda s, n: built.append(n) or real(s, n))
+        targets = {}
+        assert [mixture_fidelity(m, spec, targets) for m in mixes] == plain
+        assert len(targets) == 3 and all(built.count(n) == 1 for n in targets), (built, list(targets))
 
     def test_null_cat_vector_is_null_state(self):
         with pytest.raises(NullState):
