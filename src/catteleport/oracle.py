@@ -252,18 +252,24 @@ def _rhs_builder(spec: LindbladSpec, members: int = 1):
     into the next member of a stack has a cut row in the same way.  The two
     can differ only in the sign of a zero partial sum, which adding a
     nonzero value erases; the tests hold the result to the slice-based form,
-    member by member, bit for bit.  A row coefficient is first copied across
-    a block buffer, so its product is a flat pass too.  A block of a stack
-    holds whole members.
+    member by member, bit for bit.  A row coefficient is held at full size in
+    a one-block stack (every one-mode stack) and otherwise copied across a
+    block buffer, where held ones would take 2 * terms * D^2 entries; either
+    way its product is a flat pass too.  A block of a stack holds whole
+    members.  Scalings by powers of two are folded in, exact because they
+    commute with round-to-nearest (away from overflow and underflow): -0.5
+    sits in the left and right coefficients, a doubled fill uses 2 rate and 2
+    phase, and with no phase a block's first term is multiplied into ``out``
+    and 0.0 added, as x + 0.0 rounds as the 0.0 + x of a zero-filled block.
 
     ``rhs.plan(m)`` splits the blocks of the first m members into
-    ``_WORKERS`` contiguous row ranges, each with its own four block
-    buffers, and lists (row range, fill), where ``fill(r, out)`` writes the
-    rows of ``out`` in its range and reads any row of the first m members
-    of ``r``; ``rhs.parts`` is the plan of the whole stack.  A call
-    ``rhs(rho, out)`` runs the parts on two threads when there are two (a
-    stack that fits one block has one) and writes into ``out`` when given;
-    the buffers serve one call at a time.
+    ``_WORKERS`` contiguous row ranges, each with its own block buffers, and
+    lists (row range, fill), where ``fill(r, out, doubled=False)`` writes the
+    rows of ``out`` in its range, times 2 when doubled, and reads any row of
+    the first m members of ``r``; ``rhs.parts`` is the plan of the whole
+    stack.  A call ``rhs(rho, out)`` runs the parts on two threads when there
+    are two (a stack that fits one block has one) and writes into ``out``
+    when given; the buffers serve one call at a time.
     """
     dims = spec.mode_dims
     dim = int(np.prod(dims))
@@ -272,6 +278,7 @@ def _rhs_builder(spec: LindbladSpec, members: int = 1):
     energies = np.diagonal(spec.hamiltonian).real
     phase = (np.concatenate([(-1j * (energies[:, None] - energies)).reshape(-1)] * members)
              if energies.any() else None)
+    phases = (phase, None if phase is None else 2.0 * phase)
     roots = [np.sqrt(np.arange(d, dtype=float)) for d in dims]
     lower = [np.append(r[1:], 0.0) for r in roots]   # sqrt(m + 1), 0 on the top level
 
@@ -281,23 +288,25 @@ def _rhs_builder(spec: LindbladSpec, members: int = 1):
             raise ValueError(f"a block of {_BLOCK_ENTRIES} entries holds no whole "
                              f"{dim} x {dim} member of a stack")
         rows -= rows % dim
+    held = rows == members * dim   # one block: row coefficients held at full size
 
     def at(j, values):
         """Per-level ``values`` of mode j at every flat index."""
         return values[levels[j]]
 
     def by_row(values):
-        """Per stack row."""
-        return np.concatenate([values.astype(complex)] * members)[:, None]
+        """Per stack row, as a column or held across the whole block."""
+        column = np.concatenate([values.astype(complex)] * members)[:, None]
+        return np.repeat(column, dim, axis=1) if held else column
 
     def by_column(values):
         """Tiled over the flat index of a block of ``rows`` rows."""
         return np.tile(values.astype(complex), rows)
 
-    # One term per non-zero gamma_jj': the left product (row shift, row
-    # coefficient), the right product (column shift, column coefficient) and
-    # the jump (row shift, row coefficient, column shift, column
-    # coefficient), where destination i reads source i + shift.
+    # One term per non-zero gamma_jj': (rate, 2 rate), the left product (row
+    # shift, -0.5 * row coefficient), the right product (column shift, -0.5 *
+    # column coefficient) and the jump (row shift, row coefficient, column
+    # shift, column coefficient), where destination i reads source i + shift.
     terms = []
     for j, s_j in enumerate(strides):
         for jp, s_jp in enumerate(strides):
@@ -305,13 +314,13 @@ def _rhs_builder(spec: LindbladSpec, members: int = 1):
             if rate == 0.0:
                 continue
             if j == jp:   # a_j^+ a_j is diagonal: sqrt(n) * sqrt(n)
-                n = at(j, roots[j] * roots[j])
+                n = -0.5 * at(j, roots[j] * roots[j])
                 left, right = (0, by_row(n)), (0, by_column(n))
             else:   # a_j^+ a_jp moves one quantum from mode jp to mode j
-                left = (s_jp - s_j, by_row(at(j, roots[j]) * at(jp, lower[jp])))
-                right = (s_j - s_jp, by_column(at(j, lower[j]) * at(jp, roots[jp])))
+                left = (s_jp - s_j, by_row(-0.5 * (at(j, roots[j]) * at(jp, lower[jp]))))
+                right = (s_j - s_jp, by_column(-0.5 * (at(j, lower[j]) * at(jp, roots[jp]))))
             jump = (s_jp, by_row(at(jp, lower[jp])), s_j, by_column(at(j, lower[j])))
-            terms.append((rate, left, right, jump))
+            terms.append(((rate, 2.0 * rate), left, right, jump))
 
     def span(shift, lo, hi, size):
         """(dst, src): the destinations in [lo, hi), counted from lo, whose
@@ -321,56 +330,66 @@ def _rhs_builder(spec: LindbladSpec, members: int = 1):
         return slice(start - lo, stop - lo), slice(start + shift, stop + shift)
 
     n_parts = min(_WORKERS, -(-members * dim // rows))
-    buffers = [[np.empty(rows * dim, dtype=complex) for _ in range(4)] for _ in range(n_parts)]
+    buffers = [[np.empty(rows * dim, dtype=complex) for _ in range(3 if held else 4)]
+               for _ in range(n_parts)]
 
     def part(starts, size, buffers):
         """The rows of the blocks starting at ``starts`` below row ``size``
         and their fill."""
-        # Per block: its flat range and, per term, the rows the left product
-        # leaves at zero, then (destination, coefficient, source) of the left
-        # product, the right product and the jump's row and column halves.
-        # The left product and the jump's row half index rows of the block;
-        # the rest index its flat entries.
+        # Per block: its flat range and, per term, whether it writes out
+        # first, the rows the left product leaves at zero, then (destination,
+        # coefficient, source) of the left product, the right product and the
+        # jump's row and column halves, each row half with the column to copy
+        # into its coefficient first, or None.  The row halves index rows of
+        # the block; the rest index its flat entries.
+        def row_half(coefficient, c2, dst, src):
+            if c2 is None:   # held
+                return dst, coefficient[dst], src, None
+            return dst, c2[dst], src, coefficient[dst]
+
         blocks = []
         for b0 in starts:
             b1 = min(size, b0 + rows)
+            w, s, u = (b[:(b1 - b0) * dim] for b in buffers[:3])
+            c2 = None if held else buffers[3][:(b1 - b0) * dim].reshape(-1, dim)
             plan = []
-            for rate, (ls, lc), (rs, rc), (js, jr, jcs, jc) in terms:
+            for i, (rates, (ls, lc), (rs, rc), (js, jr, jcs, jc)) in enumerate(terms):
                 ld, lsrc = span(ls, b0, b1, size)
                 rd, rsrc = span(rs, b0 * dim, b1 * dim, size * dim)
                 td, tsrc = span(js, b0, b1, size)
                 ud, usrc = span(jcs, 0, td.stop * dim, td.stop * dim)
-                plan.append((rate, (slice(None, ld.start), slice(ld.stop, None)),
-                             (ld, lc[b0:b1][ld], lsrc), (rd, rc[rd], rsrc),
-                             (td, jr[b0:b1][td], tsrc), (ud, jc[ud], usrc)))
-            w, s, u, c = (b[:(b1 - b0) * dim] for b in buffers)
+                zero = [z for z in (slice(0, ld.start), slice(ld.stop, b1 - b0)) if z.start < z.stop]
+                plan.append((rates, not i and phase is None, zero,
+                             row_half(lc[b0:b1], c2, ld, lsrc), (rd, rc[rd], rsrc),
+                             row_half(jr[b0:b1], c2, td, tsrc), (ud, jc[ud], usrc)))
             blocks.append((slice(b0 * dim, b1 * dim), (w, s, u),
-                           (w.reshape(-1, dim), s.reshape(-1, dim), c.reshape(-1, dim)), plan))
+                           (w.reshape(-1, dim), s.reshape(-1, dim)), plan))
 
-        def fill(r, out):
+        def fill(r, out, doubled=False):
             flat_r, flat_out = r.reshape(-1), out.reshape(-1)
-            for block, (w, s, u), (w2, s2, c2), plan in blocks:
+            for block, (w, s, u), (w2, s2), plan in blocks:
                 o = flat_out[block]
-                if phase is None:
+                if phase is not None:
+                    np.multiply(flat_r[block], phases[doubled][block], out=o)
+                elif not plan:
                     o.fill(0.0)
-                else:
-                    np.multiply(flat_r[block], phase[block], out=o)
-                for rate, zero, (ld, lc, lsrc), (rd, rc, rsrc), (td, jr, tsrc), (ud, jc, usrc) in plan:
-                    # w = jump - 0.5 * (left + right), summed as -0.5 * (left +
-                    # right) + jump: the same roundings.
+                for (rates, first, zero, (ld, lc, lsrc, lcopy), (rd, rc, rsrc),
+                        (td, jr, tsrc, jcopy), (ud, jc, usrc)) in plan:
+                    # w = -0.5 * (left + right) + jump
                     for rows_ in zero:
                         w2[rows_] = 0.0
-                    c2[ld] = lc
-                    np.multiply(c2[ld], r[lsrc], out=w2[ld])
+                    if lcopy is not None:
+                        lc[...] = lcopy
+                    np.multiply(lc, r[lsrc], out=w2[ld])
                     np.multiply(flat_r[rsrc], rc, out=s[rd])
                     w[rd] += s[rd]
-                    np.multiply(w, -0.5, out=w)
-                    c2[td] = jr
-                    np.multiply(c2[td], r[tsrc], out=s2[td])
+                    if jcopy is not None:
+                        jr[...] = jcopy
+                    np.multiply(jr, r[tsrc], out=s2[td])
                     np.multiply(s[usrc], jc, out=u[ud])
                     w[ud] += u[ud]
-                    np.multiply(w, rate, out=w)
-                    o += w
+                    np.multiply(w, rates[doubled], out=o if first else w)
+                    o += 0.0 if first else w
 
         return slice(starts[0], min(size, starts[-1] + rows)), fill
 
@@ -395,21 +414,25 @@ def _rhs_builder(spec: LindbladSpec, members: int = 1):
     return rhs
 
 
-def _integrate(rho: np.ndarray, rhs, t, n_steps) -> np.ndarray:
-    """Each member of the stack ``rho`` (see ``_rhs_builder``) after its own
-    ``n_steps`` classical RK4 steps of size t / n_steps, each followed by the
-    Hermitian part 0.5 * (r + r^+); ``t`` and ``n_steps`` are numbers or one
-    per member, the members in order of step count, most first.
+def _integrate(rho, rhs, t, n_steps) -> np.ndarray:
+    """Each member of the stack ``rho`` (see ``_rhs_builder``), or of the
+    list of D x D members ``rho``, after its own ``n_steps`` classical RK4
+    steps of size t / n_steps, each followed by the Hermitian part 0.5 * (r
+    + r^+); ``t`` and ``n_steps`` are numbers or one per member, the members
+    in order of step count, most first.
 
-    Four stack buffers serve every step: the state, the slope sum, one stage
-    slope and one stage input.  Each operation rounds as the plain expression
-    r + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4) with stage inputs r + (dt / 2) k,
-    in that operand order, with each member's own dt / 2, dt and dt / 6, so
-    the result is the same bits as for that member alone.  The members still
-    running are the first m: each operation is one pass over them, and a
-    member that has taken its steps drops out, its rows left as they are in
-    the buffer that holds the state after its step count (even or odd), from
-    which the end gathers them.
+    Four stack buffers serve every step: the state, into which the members
+    are gathered, the slope sum, one stage slope and one stage input.  Each
+    operation rounds as the plain expression r + (dt / 6) * (k1 + 2 k2 + 2
+    k3 + k4) with stage inputs r + (dt / 2) k and r + dt k3, in that operand
+    order, with each member's own dt, so the result is the same bits as for
+    that member alone.  Stages 2 and 3 are filled doubled (see
+    ``_rhs_builder``) and their stage inputs take dt / 4 and dt / 2: a
+    power-of-two scaling commutes with round-to-nearest, so (dt / 4) (2 k2)
+    rounds as (dt / 2) k2.  The members still running are the first m: each
+    operation is one pass over them, and a member that has taken its steps
+    drops out, its rows left as they are in the buffer that holds the state
+    after its step count (even or odd), from which the end gathers them.
 
     Each part of ``rhs.plan(m)`` owns the rows of its range in every buffer,
     and the parts run in lockstep through seven phases per step, each ending
@@ -420,8 +443,9 @@ def _integrate(rho: np.ndarray, rhs, t, n_steps) -> np.ndarray:
     so only the phases after a barrier may write them.  The Hermitian part is
     written into the stage-slope buffer, which then becomes the state.
     """
-    dim = rho.shape[1]
-    members = len(rho) // dim
+    rho = [rho] if isinstance(rho, np.ndarray) else rho
+    dim = rho[0].shape[1]
+    members = sum(len(a) for a in rho) // dim
     if np.ndim(n_steps) == 0:
         t, n_steps = [t] * members, [n_steps] * members
     n_steps = [int(n) for n in n_steps]
@@ -432,9 +456,11 @@ def _integrate(rho: np.ndarray, rhs, t, n_steps) -> np.ndarray:
     def per_member(scale):
         return np.array([scale(d) for d in dt], dtype=complex)[:, None]
 
-    half, full, sixth = per_member(lambda d: 0.5 * d), per_member(float), per_member(lambda d: d / 6.0)
-    states = (rho.copy(), np.empty_like(rho))
-    acc, x = np.empty_like(rho), np.empty_like(rho)
+    quarter, half, sixth = (per_member(lambda d: 0.25 * d), per_member(lambda d: 0.5 * d),
+                            per_member(lambda d: d / 6.0))
+    state = np.concatenate(rho)
+    states = (state, np.empty_like(state))
+    acc, x = np.empty_like(state), np.empty_like(state)
 
     def steps(rows, fill, first, last):
         """Steps ``first`` to ``last`` - 1 of the members in ``rows``."""
@@ -447,7 +473,7 @@ def _integrate(rho: np.ndarray, rhs, t, n_steps) -> np.ndarray:
             """The range's rows of ``a``, one row per member."""
             return a.reshape(members, dim, dim)[m0:m1, p0:p1].reshape(m1 - m0, -1)
 
-        h, f, s = half[m0:m1], full[m0:m1], sixth[m0:m1]
+        q, h, s = quarter[m0:m1], half[m0:m1], sixth[m0:m1]
         aa, xx = own(acc), own(x)
         mine = [own(a) for a in states]
         # a state's columns in the range, as the range's rows of its
@@ -464,18 +490,16 @@ def _integrate(rho: np.ndarray, rhs, t, n_steps) -> np.ndarray:
             np.multiply(h, aa, out=xx)
             np.add(rr, xx, out=xx)
             yield
-            fill(x, k)                            # k = k2
+            fill(x, k, True)                      # k = 2 k2
+            yield
+            np.multiply(q, kk, out=xx)
+            np.add(rr, xx, out=xx)
+            np.add(aa, kk, out=aa)                # acc = k1 + 2 k2
+            yield
+            fill(x, k, True)                      # k = 2 k3
             yield
             np.multiply(h, kk, out=xx)
             np.add(rr, xx, out=xx)
-            np.multiply(2.0, kk, out=kk)
-            np.add(aa, kk, out=aa)                # acc = k1 + 2 k2
-            yield
-            fill(x, k)                            # k = k3
-            yield
-            np.multiply(f, kk, out=xx)
-            np.add(rr, xx, out=xx)
-            np.multiply(2.0, kk, out=kk)
             np.add(aa, kk, out=aa)                # acc = k1 + 2 k2 + 2 k3
             yield
             fill(x, k)                            # k = k4
@@ -514,8 +538,8 @@ def _evolve(states, spec: LindbladSpec, times, n_steps) -> list:
     out = [None] * len(states)
     for g in range(0, len(order), per):
         group = order[g:g + per]
-        stack = states[group[0]] if len(group) == 1 else np.concatenate([states[i] for i in group])
-        evolved = _integrate(stack, rhs, [times[i] for i in group], [n_steps[i] for i in group])
+        evolved = _integrate([states[i] for i in group], rhs, [times[i] for i in group],
+                             [n_steps[i] for i in group])
         for i, member in zip(group, [evolved] if len(group) == 1 else evolved.reshape(-1, dim, dim)):
             out[i] = member
     return out
@@ -594,17 +618,19 @@ def _fidelity_to(rho: FockDensity, psi: np.ndarray) -> float:
 
 
 def mixture_to_fock(mixture: CatMixture, n_max: Optional[int] = None) -> FockDensity:
-    """Materialize an analytic CatMixture as a number-basis density matrix."""
+    """Materialize an analytic CatMixture as a number-basis density matrix.
+    |-amp> is (-1)^n |amp>, and negation commutes with rounding."""
     if n_max is None:
         n_max = required_n_max(mixture.amp)
     vp = coherent_to_fock(mixture.amp, n_max)
-    vm = coherent_to_fock(-complex(mixture.amp), n_max)
-    rho = mixture.norm_const * (
-        mixture.w_pp * np.outer(vp, vp.conj())
-        + mixture.w_mm * np.outer(vm, vm.conj())
-        + mixture.coh * np.outer(vp, vm.conj())
-        + np.conj(mixture.coh) * np.outer(vm, vp.conj())
-    )
+    pp = np.outer(vp, vp.conj())
+    pm, mp = pp.copy(), pp.copy()   # |amp><-amp|, |-amp><amp|: odd columns, rows negated
+    np.negative(pp[:, 1::2], out=pm[:, 1::2])
+    np.negative(pp[1::2], out=mp[1::2])
+    mm = pm.copy()
+    np.negative(pm[1::2], out=mm[1::2])
+    rho = mixture.norm_const * (mixture.w_pp * pp + mixture.w_mm * mm
+                                + mixture.coh * pm + np.conj(mixture.coh) * mp)
     return FockDensity(rho, (n_max + 1,))
 
 

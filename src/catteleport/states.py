@@ -190,7 +190,10 @@ def project_atom(state: TermState, outcome: AtomLevel) -> tuple[TermState, float
     if not sub.terms:
         raise NullState(f"no amplitude on atom outcome {outcome.value!r}")
     n = term_norm(sub)
-    if n < NULL_NORM_TOL:
+    # n^2 sums K^2 Gram products of at most |w_i| |w_j| each: below about K
+    # eps (sum |w_i|)^2 it is rounding noise of nearly cancelling terms
+    noise = len(sub.terms) * math.ulp(1.0) * sum(abs(t.weight) for t in sub.terms) ** 2
+    if n < NULL_NORM_TOL or n * n <= noise:
         raise NullState(f"branch {outcome.value!r} has zero norm")
     return scale_state(sub, 1.0 / n), n * n
 

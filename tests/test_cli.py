@@ -428,9 +428,12 @@ class TestProtocolCommand:
         labels = {r["classification"] for r in read_rows(text)}
         assert labels == {"success_direct", "success_after_correction", "failure"}
 
-    @pytest.mark.parametrize("text", ["alpha_re = 0\nspectator_phase_on = false\n",
-                                      "delta_Hz = -5e6\n"],
-                             ids=["vacuum_mode1", "spectator_phase_minus_pi"])
+    @pytest.mark.parametrize("text", [
+        "alpha_re = 0\nspectator_phase_on = false\n",
+        "delta_Hz = -5e6\n",
+        # phi + pi = 1.3e-10: the e-branch norm is rounding noise above 1e-14
+        "delta_Hz = -4999999.9999\nalpha_re = 1.5\nbeta_re = 1.4\nbeta_im = 0.3\n",
+    ], ids=["vacuum_mode1", "spectator_phase_minus_pi", "spectator_phase_near_minus_pi"])
     def test_atom_outcome_of_zero_probability_exits_0(self, tmp_path, text):
         p = tmp_path / "run.cfg"
         p.write_text(text)

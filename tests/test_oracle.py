@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from catteleport.errors import NullState, StepSizeRejected, TruncationBreach
-from catteleport.fidelity import build_rho1, fidelity_at
+from catteleport.fidelity import CatMixture, build_rho1, fidelity_at
 from catteleport import oracle
 from catteleport.oracle import (
     FockDensity,
@@ -145,6 +145,19 @@ def reference_integrate(rho, rhs, t, n_steps):
         r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         r = 0.5 * (r + r.conj().T)
     return r
+
+
+def reference_mixture_to_fock(mixture, n_max):
+    """``oracle.mixture_to_fock`` before it built |-amp> and its outer
+    products from |amp> by sign flips, kept as its bit-for-bit reference."""
+    vp = coherent_to_fock(mixture.amp, n_max)
+    vm = coherent_to_fock(-complex(mixture.amp), n_max)
+    return mixture.norm_const * (
+        mixture.w_pp * np.outer(vp, vp.conj())
+        + mixture.w_mm * np.outer(vm, vm.conj())
+        + mixture.coh * np.outer(vp, vm.conj())
+        + np.conj(mixture.coh) * np.outer(vm, vp.conj())
+    )
 
 
 def same_bits(a, b):
@@ -551,6 +564,27 @@ class TestRowBlockKernels:
         assert built == [budget_members]
         assert self.members_equal_reference(spec, states, times, n_steps, out)
 
+    @pytest.mark.parametrize("block_members", [None, 2], ids=["one_block", "blocks_of_2_members"])
+    def test_one_mode_stacks_with_hamiltonian_bits_equal_reference(self, monkeypatch,
+                                                                   block_members):
+        # the doubled phase of stages 2 and 3, and the row coefficients held
+        # in a one-block stack or copied per block
+        dim = 21
+        monkeypatch.setattr(oracle, "_STACK_ENTRIES", 4 * dim * dim)   # groups of 4 and 3
+        if block_members is not None:
+            monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", block_members * dim * dim)
+        e = 2.0 * math.pi * 1.0e4 * np.arange(dim)
+        spec = LindbladSpec(np.diag(e).astype(complex), np.array([[GAMMA]]), (dim,))
+        states = [random_hermitian(dim, seed) / dim for seed in range(6)] + [cat_density((dim,))]
+        n_steps = [4, 7, 1, 6, 3, 2, 5]
+        times = [2.0e-5 * n for n in n_steps]
+        held = []
+        monkeypatch.setattr(oracle, "_rhs_builder", lambda spec, members: held.append(
+            oracle._BLOCK_ENTRIES >= members * dim * dim) or _rhs_builder(spec, members))
+        out = oracle._evolve(states, spec, times, n_steps)
+        assert held == [block_members is None]
+        assert self.members_equal_reference(spec, states, times, n_steps, out)
+
     @pytest.mark.parametrize("dims, gamma", [((25,), [[GAMMA]]), ((16, 16), CROSS)],
                              ids=["one_mode_d25", "cross_16x16"])
     def test_verify_pair_is_one_stack_that_fits(self, monkeypatch, dims, gamma):
@@ -871,6 +905,19 @@ class TestAnalyticCrossChecks:
     def test_null_cat_vector_is_null_state(self):
         with pytest.raises(NullState):
             cat_state_vector(CatSpec(INV, INV, 0.0, -1), 20)
+
+    def test_mixture_bits_equal_reference(self):
+        # amplitudes and coherences of every phase, on the axes, zero and -0.0
+        rng = np.random.default_rng(7)
+        specials = [0j, 1.5, -1.5, 1.5j, -1.5j, complex(-0.0, -0.0)]
+        for i in range(400):
+            amp = (specials[i % 6] if i < 60
+                   else complex(*rng.uniform(-2.5, 2.5, 2)) * (1.0 if i % 3 else 1j))
+            coh = specials[i // 6 % 6] * 0.2 if i < 60 else complex(*rng.uniform(-0.5, 0.5, 2))
+            w = float(rng.uniform())
+            mix = CatMixture(amp, w, 1.0 - w, coh, float(rng.uniform(0.5, 2.0)))
+            n_max = required_n_max(amp)
+            assert same_bits(mixture_to_fock(mix).entries, reference_mixture_to_fock(mix, n_max))
 
     def test_mixture_density_is_valid(self):
         mix = build_rho1(CatSpec(INV, INV, 1.5, 1), 0.6)

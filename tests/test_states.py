@@ -132,6 +132,25 @@ class TestProjectAtom:
         with pytest.raises(NullState):
             project_atom(state, AtomLevel.E)
 
+    def test_branch_within_rounding_noise_of_its_terms_is_null(self):
+        # the e-branch of the protocol at phi + pi = 1.3e-10: its terms nearly
+        # cancel, so the true n^2 is about 1e-20 and the computed one, 2.2e-16,
+        # is rounding noise far above NULL_NORM_TOL^2
+        w, v = 0.35065964635037467, -0.35065964635037467 + 4.294342134931292e-17j
+        a, b = 1.5 + 1.8849540313011343e-10j, 1.3999999999623007 + 0.30000000017592904j
+        state = TermState.from_tuples([(v, "e", 1.5, 1.4 + 0.3j), (w, "e", a, b),
+                                       (v, "e", 1.5, -1.4 - 0.3j), (w, "e", a, -b),
+                                       (1.0, "g", 1.5, 0.0)])
+        with pytest.raises(NullState, match="'e' has zero norm"):
+            project_atom(state, AtomLevel.E)
+
+    @pytest.mark.parametrize("weight", [1e-6, 1e-13])
+    def test_small_branch_above_its_rounding_noise_is_kept(self, weight):
+        state = TermState.from_tuples([(weight, "e", 0.7, 1.0), (1.0, "g", 0.7, 1.0)])
+        post, prob = project_atom(state, AtomLevel.E)
+        assert prob == pytest.approx(weight ** 2, rel=1e-12)
+        assert term_norm(post) == pytest.approx(1.0)
+
     @given(data=st.lists(st.tuples(amps, st.sampled_from("ge"), amps, amps),
                          min_size=2, max_size=6))
     @settings(max_examples=100)
