@@ -1,8 +1,9 @@
 """Batch command-line front end emitting plot-ready CSV.
 
 Subcommands: coeffs, protocol, fidelity, figure2, oracle-check.  Each
-``cmd_*`` returns ``(header, rows, ok)``; ``main`` alone writes the CSV and
-maps the result or exception to an exit code.
+``cmd_*`` returns ``(header, rows, ok)``, the rows as one float64 table when
+every value is a float; ``main`` alone writes the CSV and maps the result or
+exception to an exit code.
 Exit codes: 0 success, 2 config error, 3 invariant breach, 4 truncation breach.
 """
 
@@ -46,8 +47,8 @@ EXIT_TRUNCATION = 4
 ORACLE_MAX_STEPS = 1000
 # Most protocol runs --trials may sample: each takes about 30 bytes at once.
 MAX_TRIALS = 10 ** 6
-# CSV rows formatted and written per call: one string per block, not per run,
-# keeps the output's peak memory small.
+# Rows of a list formatted and written per call: one string per block, not
+# per run, keeps the output's peak memory small.
 ROW_BLOCK = 512
 
 
@@ -94,7 +95,7 @@ def cmd_coeffs(cfg: RunConfig, args):
         bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
         if bad.size:
             raise ConsistencyError(f"u_full is not finite at t={float(times[bad[0]])!r}")
-    return header, table.tolist(), True
+    return header, table, True
 
 
 def cmd_protocol(cfg: RunConfig, args):
@@ -139,15 +140,16 @@ def _curve(cfg: RunConfig):
 def cmd_fidelity(cfg: RunConfig, args):
     spec, curve = _curve(cfg)
     header = ["t", "F_analytic"]
+    table = np.empty((len(curve.times), 4 if args.oracle else 2))
+    table[:, 0] = curve.times
+    table[:, 1] = curve.values
     if args.oracle:
         header += ["F_oracle", "abs_dF"]
-    rows = np.column_stack([curve.times, curve.values]).tolist()
-    if args.oracle:
         targets = {}
-        for row, u11 in zip(rows, curve.u11.tolist()):
-            f_or = mixture_fidelity(build_rho1(spec, u11), spec, targets)
-            row += [f_or, abs(f_or - row[1])]
-    return header, rows, True
+        table[:, 2] = [mixture_fidelity(build_rho1(spec, u11), spec, targets)
+                       for u11 in curve.u11.tolist()]
+        table[:, 3] = np.abs(table[:, 2] - table[:, 1])
+    return header, table, True
 
 
 FIGURE2_ALPHAS = (0.5, 1.0, 1.5, 2.0)
@@ -161,8 +163,7 @@ def cmd_figure2(cfg: RunConfig, args):
                   spectator_phase_on=False)
     curves = [_curve(replace(cfg, alpha_re=a, alpha_im=0.0))[1] for a in FIGURE2_ALPHAS]
     header = ["t"] + [f"F_alpha_{a}" for a in FIGURE2_ALPHAS]
-    rows = np.column_stack([curves[0].times] + [c.values for c in curves]).tolist()
-    return header, rows, True
+    return header, np.column_stack([curves[0].times] + [c.values for c in curves]), True
 
 
 def cmd_oracle_check(cfg: RunConfig, args):
@@ -258,10 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _write_csv(out, header, rows) -> None:
     """Header and rows as CSV: floats as %.17g, anything else as str().
 
-    One %-template serves every row; it is built from the first row, since
-    each command gives a column the same type in every row.
+    A float64 table goes to ``floatcsv.write_table``, which writes the same
+    bytes in numpy blocks.  Rows of a list (protocol and oracle-check mix str,
+    int and float in at most 40 rows, where that kernel's fixed cost exceeds
+    the template's) share one %-template built from the first row, since each
+    command gives a column the same type in every row.
     """
     out.write(",".join(header) + "\n")
+    if isinstance(rows, np.ndarray):
+        from .floatcsv import write_table   # compiled on first use, not at import
+        write_table(out, rows)
+        return
     if not rows:
         return
     template = ",".join("%.17g" if isinstance(v, (float, np.floating)) else "%s"

@@ -135,8 +135,11 @@ def state_overlap(bra: TermState, ket: TermState) -> complex:
 def term_norm(state: TermState) -> float:
     """Physical norm of ``state`` via the Gram matrix of its coherent labels."""
     n2 = state_overlap(state, state)
-    scale = max(1.0, abs(n2.real))
-    if abs(n2.imag) > IMAG_RESIDUE_TOL * scale:
+    residue = abs(n2.imag)
+    # a Gram sum of nearly cancelling terms keeps rounding noise of about
+    # K eps (sum |w_i|)^2 in its imaginary part, however small its real part
+    if residue > IMAG_RESIDUE_TOL * max(1.0, abs(n2.real)) and residue > (
+            len(state.terms) * math.ulp(1.0) * sum(abs(t.weight) for t in state.terms) ** 2):
         raise ConsistencyError(f"norm^2 has imaginary residue {n2.imag!r}")
     return math.sqrt(max(n2.real, 0.0))
 

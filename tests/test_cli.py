@@ -329,6 +329,135 @@ def test_csv_writer_formats_each_value_by_its_type():
     assert out.getvalue() == "a,b,c,d,e\n" + expected
 
 
+def written(rows):
+    out = io.StringIO()
+    _write_csv(out, ["h"], rows)
+    return out.getvalue()
+
+
+def assert_table_bytes_equal_the_template(table):
+    """The float-table writer's bytes against the % template's, for the same
+    values given as a list."""
+    table = np.asarray(table, dtype=float)
+    got, want = written(table).splitlines(), written(table.tolist()).splitlines()
+    if got != want:   # named line by line: a diff of the whole text takes minutes
+        bad = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b][:3]
+        pytest.fail(f"{len(got)} lines, template {len(want)}; first differences {bad}")
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(2021)
+    powers = [10.0 ** k for k in range(-30, 31)] + [1e16, 1e17]
+    return {
+        "random_bit_patterns": rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64).view(float),
+        "powers_of_ten_and_neighbours": np.concatenate(
+            [[np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)] for p in powers]),
+        # every k/2**18 with 17 significant digits ends in an exact decimal 5
+        "exact_ties": np.arange(26215, 262144, 2) / 2.0 ** 18,
+        "extremes": np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0,
+                              -0.0, -5e-324]),
+        "outside_1e-280_to_1e280": np.array([1e-300, -9.99e-281, 1.0000000000000001e280,
+                                             -3e290, 1e308, 7e-310]),
+    }
+
+
+class TestFloatTableWriter:
+    """The float-table kernel writes the % template's bytes, with no tolerance."""
+
+    @given(st.lists(st.floats(), min_size=1, max_size=60), st.sampled_from([1, 2, 5]))
+    @example([math.nan, -math.inf, math.inf, -0.0, 0.0], 2)
+    def test_any_floats(self, values, cols):
+        assert_table_bytes_equal_the_template(
+            np.resize(np.array(values), (-(-len(values) // cols), cols)))
+
+    @pytest.mark.parametrize("name", list(_kernel_cases()))
+    def test_fixed_values(self, name):
+        assert_table_bytes_equal_the_template(_kernel_cases()[name][:, None])
+
+    @pytest.mark.parametrize("cols", [1, 2, 5, 18])
+    def test_row_counts_around_one_block(self, cols):
+        from catteleport.floatcsv import BLOCK
+        rows_per_block = BLOCK // cols
+        rng = np.random.default_rng(cols)
+        for rows in (1, rows_per_block - 1, rows_per_block, rows_per_block + 1,
+                     2 * rows_per_block + 3):
+            table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 20, (rows, cols))
+            assert_table_bytes_equal_the_template(table)
+
+    def test_float_commands_return_tables(self):
+        cfg = parse_config("n_points = 7\n")
+        for command, args in ((cmd_coeffs, None), (cli.cmd_figure2, None),
+                              (cli.cmd_fidelity, build_parser().parse_args(["fidelity"])),
+                              (cli.cmd_fidelity,
+                               build_parser().parse_args(["fidelity", "--oracle"]))):
+            header, rows, ok = command(cfg, args)
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+            assert ok and rows.shape[1] == len(header)
+
+    @pytest.mark.parametrize("argv, text", [
+        (["protocol", "--trials", "100"], ""),
+        (["oracle-check"], "t_max_s = 4e-4\n"),
+    ], ids=["protocol", "oracle_check"])
+    def test_mixed_rows_keep_the_template(self, tmp_path, monkeypatch, argv, text):
+        # str, int and float columns, a few dozen rows: each value as str(),
+        # floats as %.17g
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        command = getattr(cli, build_parser().parse_args(argv).run)
+        returned = []
+        monkeypatch.setattr(cli, command.__name__,
+                            lambda cfg, args: returned.append(command(cfg, args)) or returned[-1])
+        code, out = run_cli(tmp_path, *argv, "--config", str(p))
+        header, rows, ok = returned[0]
+        assert code == 0 and isinstance(rows, list)
+        assert out == ",".join(header) + "\n" + "".join(
+            ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows)
+
+    @pytest.mark.parametrize("command, n_points", [("fidelity", 20_000), ("coeffs", 6325)])
+    def test_curves_take_no_template_call(self, tmp_path, monkeypatch, command, n_points):
+        from catteleport import floatcsv
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return b"%.17g" % v
+
+        monkeypatch.setattr(floatcsv, "_template", counting)
+        p = tmp_path / "run.cfg"
+        p.write_text(f"n_points = {n_points}\n")
+        code, out = run_cli(tmp_path, command, "--config", str(p))
+        assert code == 0 and out.count("\n") == n_points + 1
+        assert calls == []
+        # the double is the one the writer calls
+        assert written(np.array([[math.nan]])) == "h\nnan\n" and len(calls) == 1
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        import tracemalloc
+
+        from catteleport.floatcsv import BLOCK
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        rng = np.random.default_rng(7)
+        peaks = []
+        for rows in (2 * BLOCK // 18, 20_000):
+            table = rng.random((rows, 18))
+            _write_csv(Sink(), ["h"], table[:1])   # tables built on first use
+            tracemalloc.start()
+            try:
+                _write_csv(Sink(), ["h"], table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the table is allocated before tracing starts: what is traced is one
+        # block's arrays and text, about 200 bytes per value
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 256 * BLOCK
+
+
 class TestCoeffsCommand:
     def test_initial_row_is_identity(self, tmp_path):
         code, text = run_cli(tmp_path, "coeffs")
@@ -441,6 +570,19 @@ class TestProtocolCommand:
         assert code == 0
         assert [(r["probability"], r["residual_fidelity"], r["sampled_count"])
                 for r in read_rows(out) if r["atom"] == "e"] == [("0", "0", "0")] * 2
+
+    # phi + pi from 1.3e-8 to 1.8e-6: the renormalized e-branch's Gram sum
+    # keeps an imaginary rounding residue of order eps (sum |w_i|)^2, above
+    # 1e-12 * max(1, |n^2|)
+    @pytest.mark.parametrize("delta_Hz", [-4999999.99, -4999999.977736234,
+                                          -4999999.435252894, -4999997.155657618])
+    def test_spectator_phase_just_off_minus_pi_exits_0(self, tmp_path, delta_Hz):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"delta_Hz = {delta_Hz!r}\nalpha_re = 2.5\nbeta_re = 0.5\n")
+        code, out = run_cli(tmp_path, "protocol", "--config", str(p), "--trials", "100")
+        assert code == 0
+        assert sum(float(r["probability"]) for r in read_rows(out)) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_corrected_fidelity_perfect_for_flip_branch(self, tmp_path):
         _, text = run_cli(tmp_path, "protocol", "--no-spectator-phase")
