@@ -47,9 +47,6 @@ EXIT_TRUNCATION = 4
 ORACLE_MAX_STEPS = 1000
 # Most protocol runs --trials may sample: each takes about 30 bytes at once.
 MAX_TRIALS = 10 ** 6
-# Rows of a list formatted and written per call: one string per block, not
-# per run, keeps the output's peak memory small.
-ROW_BLOCK = 512
 
 
 def _load(args) -> RunConfig:
@@ -274,9 +271,7 @@ def _write_csv(out, header, rows) -> None:
         return
     template = ",".join("%.17g" if isinstance(v, (float, np.floating)) else "%s"
                         for v in rows[0]) + "\n"
-    for i in range(0, len(rows), ROW_BLOCK):
-        block = rows[i:i + ROW_BLOCK]
-        out.write((template * len(block)) % tuple(chain.from_iterable(block)))
+    out.write((template * len(rows)) % tuple(chain.from_iterable(rows)))
 
 
 def main(argv=None) -> int:

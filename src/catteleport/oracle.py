@@ -9,7 +9,6 @@ a diagonal phase conjugation.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -110,7 +109,7 @@ class LindbladSpec:
 
 
 # Threads that share a multi-block RHS and its RK4 loop: the caller and at
-# most one helper; the caller alone on a one-CPU affinity.
+# most one more (see _lockstep); the caller alone on a one-CPU affinity.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -120,75 +119,9 @@ _BLOCK_ENTRIES = 8192 * _WORKERS
 
 # Entries per stack of states integrated together (see _evolve): one block,
 # run on the caller alone.  On oracle-check at |alpha| = 0.5 to 2.5, stacks
-# of 4 K entries, of 16 K on the caller and of 32 K to 128 K split across the
-# helper were all slower.
+# of 4 K entries, of 16 K on the caller and of 32 K to 128 K split across two
+# threads were all slower.
 _STACK_ENTRIES = 8192
-
-
-class _Helper:
-    """A daemon thread that runs one callable at a time for the caller that
-    holds ``busy``, while that caller runs its own share."""
-
-    def __init__(self):
-        self.busy = threading.Lock()
-        self.broken = False
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._task = self._error = None
-        threading.Thread(target=self._serve, name="catteleport-oracle", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            self._go.acquire()
-            try:
-                self._task()
-            except BaseException as exc:
-                self._error = exc
-            self._task = None   # it holds the phase's buffers
-            self._done.release()
-
-    def share(self, task, own):
-        """``task()`` here and ``own()`` in the caller at once; own's result
-        once both have finished, or the first error."""
-        self._task = task
-        self._go.release()
-        try:
-            result = own()
-        finally:
-            try:
-                self._done.acquire()
-            except BaseException:   # interrupted while the task runs: out of step
-                self.broken = True
-                raise
-            error, self._error = self._error, None
-        if error is not None:
-            raise error
-        return result
-
-
-_HELPER: Optional[_Helper] = None
-_HELPER_LOCK = threading.Lock()
-
-
-def _forget_helper() -> None:
-    """A forked child has no helper thread: it starts its own when needed."""
-    global _HELPER, _HELPER_LOCK
-    _HELPER, _HELPER_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _claim_helper() -> Optional[_Helper]:
-    """The helper, started on first use, or None while another caller has it."""
-    global _HELPER
-    with _HELPER_LOCK:
-        if _HELPER is None or _HELPER.broken:
-            _HELPER = _Helper()
-        helper = _HELPER
-    return helper if helper.busy.acquire(blocking=False) else None
 
 
 _DONE = object()
@@ -197,27 +130,47 @@ _DONE = object()
 def _lockstep(shares) -> None:
     """Run one generator per worker, phase by phase: a phase is the code up
     to the next ``yield`` or the end, and no share starts a phase before the
-    other has finished the one before.  Two shares run on the caller and the
-    helper at once, or in turn while another caller has the helper."""
+    other has finished the one before.  Two shares run at once, the second
+    on a thread of this call's own, which has ended when this returns or
+    raises: an error in either share reaches the caller once both have
+    finished the phase."""
     if len(shares) == 1:
         for _ in shares[0]:
             pass
         return
     mine, theirs = shares
-    own, task = functools.partial(next, mine, _DONE), functools.partial(next, theirs, None)
-    helper = _claim_helper()
+    go, done = threading.Lock(), threading.Lock()
+    go.acquire()
+    done.acquire()
+    stop, errors = False, []
+
+    def serve():
+        try:
+            while go.acquire() and not stop:
+                next(theirs, None)
+                done.release()
+        except BaseException as exc:
+            errors.append(exc)
+            done.release()
+
+    thread = threading.Thread(target=serve, name="catteleport-oracle", daemon=True)
+    thread.start()
     try:
         while True:
-            if helper is None:
-                task()
-                result = own()
-            else:
-                result = helper.share(task, own)
+            go.release()
+            try:
+                result = next(mine, _DONE)
+            finally:
+                done.acquire()
+            if errors:
+                raise errors[0]
             if result is _DONE:
                 return
     finally:
-        if helper is not None:
-            helper.busy.release()
+        stop = True
+        if go.locked():   # held by the thread, and released only here
+            go.release()
+        thread.join()
 
 
 def _one_phase(fn, *args):
@@ -547,9 +500,9 @@ def _evolve(states, spec: LindbladSpec, times, n_steps) -> list:
 
 def _checked(rho: FockDensity, out: np.ndarray) -> FockDensity:
     """``out`` as the evolved ``rho``, once its trace and truncation pass."""
-    tr = np.trace(out).real
-    if not abs(tr - np.trace(rho.entries).real) <= 1e-10:   # NaN fails too
-        raise ValueError(f"trace drifted by {tr - 1.0:.3e} during integration")
+    drift = np.trace(out).real - np.trace(rho.entries).real
+    if not abs(drift) <= 1e-10:   # NaN fails too
+        raise ValueError(f"trace drifted by {drift:.3e} during integration")
     result = FockDensity(out, rho.mode_dims)
     result.check_truncation()
     return result

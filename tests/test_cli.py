@@ -317,7 +317,7 @@ class TestExitCodes:
 
 
 def test_csv_writer_formats_each_value_by_its_type():
-    # more rows than one block; floats as %.17g, anything else as str()
+    # floats as %.17g, anything else as str()
     rows = [["s", i, np.int64(-i), i / 7.0, np.float64(-i / 3.0)] for i in range(1100)]
     rows += [["e", 0, np.int64(0), -0.0, np.float64("nan")],
              ["f", 1, np.int64(1), math.inf, np.float64(5e-324)]]

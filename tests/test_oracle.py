@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -334,6 +335,14 @@ class TestLindbladEvolution:
         assert same_bits(next(evolved).entries, rho.entries)
         with pytest.raises(ValueError, match="trace drifted"):
             next(evolved)
+
+    def test_trace_check_reports_the_drift_from_the_input_trace(self):
+        dims = (4,)
+        rho = FockDensity(np.diag([0.5, 0.0, 0.0, 0.0]).astype(complex), dims)
+        assert same_bits(oracle._checked(rho, rho.entries.copy()).entries, rho.entries)
+        drifted = np.diag([0.5 + 1e-6, 0.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match=r"trace drifted by 1\.000e-06 "):
+            oracle._checked(rho, drifted)
 
     def test_step_verification_accepts_fine_grid(self):
         a0 = 0.8
@@ -680,7 +689,8 @@ def run_python(code):
 
 
 class TestHelperThread:
-    """The helper that runs the second row range of a multi-block spec."""
+    """The thread that runs the second row range of a multi-block spec, one
+    per integration, ended before the integration returns or raises."""
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
@@ -702,13 +712,50 @@ class TestHelperThread:
                 raise KeyError("second phase")
             yield
 
+        before = threading.active_count()
         with pytest.raises(KeyError, match="second phase"):
             oracle._lockstep([share(False), share(True)])
         assert threading.main_thread() in where and len(set(where)) == 2
+        assert threading.active_count() == before
         rho, spec = self.cross_16x16()
         out = _integrate(rho.entries, _rhs_builder(spec), 3.0e-4, 3)
         ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 3.0e-4, 3)
-        assert same_bits(out, ref)
+        assert same_bits(out, ref) and threading.active_count() == before
+
+    def test_interrupt_in_callers_phase_waits_for_the_other_share(self):
+        finished = []
+
+        def share(interrupt):
+            yield
+            if interrupt:
+                raise KeyboardInterrupt
+            time.sleep(0.05)   # still running when the caller's phase ends
+            finished.append(threading.current_thread())
+            yield
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            oracle._lockstep([share(True), share(False)])
+        assert len(finished) == 1 and finished[0] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_an_integration(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        rho, spec = self.cross_16x16()
+        before = threading.active_count()
+        monkeypatch.setattr(threading, "Thread", Counted)
+        evolve_lindblad(rho, spec, 3.0e-4, 1.0e-4)
+        evolve_lindblad(rho, spec, 3.0e-5, 1.0e-5, verify_step=True)
+        monkeypatch.undo()
+        # one thread per integrated stack: one, then the verify pair's two
+        assert len(started) == 3 and not any(t.is_alive() for t in started)
+        assert threading.active_count() == before
 
     def test_helper_drops_a_share_left_suspended_by_an_error(self):
         held = []
@@ -752,6 +799,7 @@ class TestHelperThread:
         out = run_python("""
             import os
             import signal
+            import threading
             import numpy as np
             from catteleport import oracle
             oracle._WORKERS = 2
@@ -761,10 +809,10 @@ class TestHelperThread:
             rho = oracle.FockDensity.from_vector(np.kron(oracle.coherent_to_fock(0.5, 15),
                                                          oracle.coherent_to_fock(0.7j, 15)), dims)
             first = oracle.evolve_lindblad(rho, spec, 3.0e-4, 1.0e-4).entries
-            assert oracle._HELPER is not None
+            assert threading.active_count() == 1   # no thread is left to fork
             pid = os.fork()
             if pid == 0:
-                signal.alarm(20)   # a child stuck on a dead helper dies instead of lingering
+                signal.alarm(20)   # a child stuck in a handoff dies instead of lingering
                 again = oracle.evolve_lindblad(rho, spec, 3.0e-4, 1.0e-4).entries
                 os._exit(0 if again.tobytes() == first.tobytes() else 1)
             print(os.waitpid(pid, 0)[1])
@@ -772,8 +820,8 @@ class TestHelperThread:
         assert out.split() == ["0"]
 
     def test_callers_at_once_get_the_reference_bits(self):
-        # more callers than CPUs, switching threads often: one holds the
-        # helper, the others run both row ranges in turn
+        # more callers than CPUs, switching threads often: each call runs
+        # its second row range on a thread of its own
         rho, spec = self.cross_16x16()
         ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 3.0e-4, 3)
         callers = 3
