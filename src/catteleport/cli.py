@@ -49,20 +49,6 @@ ORACLE_MAX_STEPS = 1000
 MAX_TRIALS = 10 ** 6
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else default_config()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.frame is not None:
-        overrides["frame"] = args.frame
-    if args.no_spectator_phase:
-        overrides["spectator_phase_on"] = False
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
-
-
 @contextlib.contextmanager
 def _naming_t_max(cfg: RunConfig):
     """Add the key behind the time grid to a ConsistencyError raised on it."""
@@ -243,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run="cmd_" + name.replace("-", "_"))
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, help="override RNG seed")
-        p.add_argument("--frame", choices=("rotating", "lab"))
-        p.add_argument("--no-spectator-phase", action="store_true")
     sub.choices["protocol"].add_argument("--trials", type=int,
                                          help="also sample N protocol runs")
     sub.choices["fidelity"].add_argument("--oracle", action="store_true",
@@ -277,7 +260,7 @@ def _write_csv(out, header, rows) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config) if args.config else default_config()
         try:
             out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
         except OSError as exc:
@@ -289,13 +272,23 @@ def main(argv=None) -> int:
             try:
                 _write_csv(out, header, rows)
                 out.flush()
-            except BrokenPipeError:
-                # the reader closed stdout early (`| head`); nothing is left to
-                # report to, and the flush at exit must not raise again
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                if out is not sys.stdout:
+                    out.close()
+            except OSError as exc:
+                if out is sys.stdout:
+                    # nothing more reaches stdout, and the flush at exit must
+                    # not raise again
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                # a reader that closed stdout early (`| head`) ends the run quietly
+                if not isinstance(exc, BrokenPipeError):
+                    where = f"--out {args.out!r}" if args.out else "stdout"
+                    raise ConfigError(f"cannot write the CSV to {where}: {exc.strerror}") from None
         finally:
             if out is not sys.stdout:
-                out.close()
+                # after an error the file is closed quietly: a close that
+                # flushes the same bytes again fails again
+                with contextlib.suppress(OSError):
+                    out.close()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 # of a few; at 10 the Fock oracle already needs ~200 levels per mode, past
 # ~38 exp(-|a|**2 / 2) underflows to 0 and past ~1e154 |a|**2 overflows.
 MAX_AMPLITUDE = 10.0
+# Most time points a config may ask for: at the bound coeffs peaks at about
+# 520 MB of memory.  The benchmark's largest grid has 20 000.
+MAX_N_POINTS = 10 ** 6
 # The config keys behind each ModeSystem and ProtocolConfig field, named in
 # their error messages.
 _FIELD_KEYS = {
@@ -75,8 +78,8 @@ class RunConfig:
                                   f"above {MAX_AMPLITUDE:g}")
         if self.frame not in ("rotating", "lab"):
             raise ConfigError(f"frame must be 'rotating' or 'lab', got {self.frame!r}")
-        if self.n_points < 2:
-            raise ConfigError("n_points must be at least 2")
+        if not 2 <= self.n_points <= MAX_N_POINTS:
+            raise ConfigError(f"n_points must lie in [2, {MAX_N_POINTS}], got {self.n_points}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         for key in ("gamma11_inv_s", "gamma22_inv_s", "t_max_s"):

@@ -173,12 +173,6 @@ def _lockstep(shares) -> None:
         thread.join()
 
 
-def _one_phase(fn, *args):
-    """``fn(*args)`` as a share of a single phase."""
-    fn(*args)
-    yield from ()
-
-
 def _rhs_builder(spec: LindbladSpec, members: int = 1):
     """Right-hand side of the master equation, acting on a stack of
     ``members`` density matrices rho, each D x D, as a (members * D) x D
@@ -215,14 +209,12 @@ def _rhs_builder(spec: LindbladSpec, members: int = 1):
     phase, and with no phase a block's first term is multiplied into ``out``
     and 0.0 added, as x + 0.0 rounds as the 0.0 + x of a zero-filled block.
 
-    ``rhs.plan(m)`` splits the blocks of the first m members into
-    ``_WORKERS`` contiguous row ranges, each with its own block buffers, and
-    lists (row range, fill), where ``fill(r, out, doubled=False)`` writes the
-    rows of ``out`` in its range, times 2 when doubled, and reads any row of
-    the first m members of ``r``; ``rhs.parts`` is the plan of the whole
-    stack.  A call ``rhs(rho, out)`` runs the parts on two threads when there
-    are two (a stack that fits one block has one) and writes into ``out``
-    when given; the buffers serve one call at a time.
+    Returns ``plan``: ``plan(m)`` splits the blocks of the first m members
+    into ``_WORKERS`` contiguous row ranges, each with its own block buffers
+    (a stack that fits one block has one range), and lists (row range,
+    fill), where ``fill(r, out, doubled=False)`` writes the rows of ``out``
+    in its range, times 2 when doubled, and reads any row of the first m
+    members of ``r``; the buffers serve one integration at a time.
     """
     dims = spec.mode_dims
     dim = int(np.prod(dims))
@@ -356,23 +348,14 @@ def _rhs_builder(spec: LindbladSpec, members: int = 1):
                         for i, b in zip(range(0, len(starts), per), buffers)]
         return plans[m]
 
-    def rhs(rho: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        r = rho.reshape(-1, dim)
-        if out is None:
-            out = np.empty_like(rho)
-        _lockstep([_one_phase(fill, r, out) for _, fill in plan(len(r) // dim)])
-        return out
-
-    rhs.plan, rhs.parts = plan, plan(members)
-    return rhs
+    return plan
 
 
-def _integrate(rho, rhs, t, n_steps) -> np.ndarray:
-    """Each member of the stack ``rho`` (see ``_rhs_builder``), or of the
-    list of D x D members ``rho``, after its own ``n_steps`` classical RK4
-    steps of size t / n_steps, each followed by the Hermitian part 0.5 * (r
-    + r^+); ``t`` and ``n_steps`` are numbers or one per member, the members
-    in order of step count, most first.
+def _integrate(rho, plan, t, n_steps) -> np.ndarray:
+    """The stack (see ``_rhs_builder``) of each D x D member of the list
+    ``rho`` after its own ``n_steps[i]`` classical RK4 steps of size t[i] /
+    n_steps[i], each followed by the Hermitian part 0.5 * (r + r^+), the
+    members in order of step count, most first.
 
     Four stack buffers serve every step: the state, into which the members
     are gathered, the slope sum, one stage slope and one stage input.  Each
@@ -387,7 +370,7 @@ def _integrate(rho, rhs, t, n_steps) -> np.ndarray:
     drops out, its rows left as they are in the buffer that holds the state
     after its step count (even or odd), from which the end gathers them.
 
-    Each part of ``rhs.plan(m)`` owns the rows of its range in every buffer,
+    Each part of ``plan(m)`` owns the rows of its range in every buffer,
     and the parts run in lockstep through seven phases per step, each ending
     at a barrier: stage 1 with its stage input, stage 2, the second stage
     input with the slope sum, stage 3, the third stage input with the slope
@@ -396,12 +379,7 @@ def _integrate(rho, rhs, t, n_steps) -> np.ndarray:
     so only the phases after a barrier may write them.  The Hermitian part is
     written into the stage-slope buffer, which then becomes the state.
     """
-    rho = [rho] if isinstance(rho, np.ndarray) else rho
-    dim = rho[0].shape[1]
-    members = sum(len(a) for a in rho) // dim
-    if np.ndim(n_steps) == 0:
-        t, n_steps = [t] * members, [n_steps] * members
-    n_steps = [int(n) for n in n_steps]
+    members, dim = len(rho), len(rho[0])
     if n_steps != sorted(n_steps, reverse=True):
         raise ValueError(f"step counts {n_steps} are not in order, most first")
     dt = [float(t) / n if n else 0.0 for t, n in zip(t, n_steps)]
@@ -470,7 +448,7 @@ def _integrate(rho, rhs, t, n_steps) -> np.ndarray:
     for running in range(members, 0, -1):
         last = n_steps[running - 1]
         if last > done:
-            _lockstep([steps(rows, fill, done, last) for rows, fill in rhs.plan(running)])
+            _lockstep([steps(rows, fill, done, last) for rows, fill in plan(running)])
             done = last
     out = states[done % 2]
     for i, n in enumerate(n_steps):
@@ -487,11 +465,11 @@ def _evolve(states, spec: LindbladSpec, times, n_steps) -> list:
     dim = int(np.prod(spec.mode_dims))
     per = max(1, _STACK_ENTRIES // (dim * dim))
     order = sorted(range(len(states)), key=lambda i: -n_steps[i])
-    rhs = _rhs_builder(spec, min(per, max(1, len(states))))
+    plan = _rhs_builder(spec, min(per, max(1, len(states))))
     out = [None] * len(states)
     for g in range(0, len(order), per):
         group = order[g:g + per]
-        evolved = _integrate([states[i] for i in group], rhs, [times[i] for i in group],
+        evolved = _integrate([states[i] for i in group], plan, [times[i] for i in group],
                              [n_steps[i] for i in group])
         for i, member in zip(group, [evolved] if len(group) == 1 else evolved.reshape(-1, dim, dim)):
             out[i] = member

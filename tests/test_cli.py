@@ -1,4 +1,7 @@
+import argparse
 import csv
+import errno
+import hashlib
 import io
 import math
 import os
@@ -14,7 +17,13 @@ from hypothesis import strategies as st
 
 from catteleport import cli, dynamics, oracle
 from catteleport.cli import _write_csv, build_parser, cmd_coeffs, main
-from catteleport.config import RunConfig, default_config, load_config, parse_config
+from catteleport.config import (
+    MAX_N_POINTS,
+    RunConfig,
+    default_config,
+    load_config,
+    parse_config,
+)
 from catteleport.dynamics import (
     coefficient_grid,
     decoherence_Z,
@@ -96,6 +105,44 @@ def _env():
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
+class FailingStream:
+    """A text stream over a real file whose ``fail_at`` call raises ``exc``:
+    the first write ("header"), the second ("rows"), ``flush`` or ``close``
+    (which closes the file first)."""
+
+    def __init__(self, path, fail_at, exc):
+        self._file = open(path, "w", encoding="utf-8", newline="")
+        self.fail_at, self.exc, self.writes = fail_at, exc, 0
+
+    def _call(self, name):
+        if name == self.fail_at:
+            raise self.exc
+
+    def write(self, text):
+        self.writes += 1
+        self._call({1: "header", 2: "rows"}.get(self.writes))
+        return self._file.write(text)
+
+    def flush(self):
+        self._call("flush")
+        self._file.flush()
+
+    def close(self):
+        self._file.close()
+        self._call("close")
+
+    def fileno(self):
+        return self._file.fileno()
+
+    @property
+    def closed(self):
+        return self._file.closed
+
+    def release(self):
+        """Close the file, whatever ``fail_at`` is."""
+        self._file.close()
+
+
 class TestConfigParsing:
     def test_defaults(self):
         cfg = default_config()
@@ -125,6 +172,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("n_points=many\n")
 
+    @pytest.mark.parametrize("n_points", [2, MAX_N_POINTS])
+    def test_n_points_bounds_accepted(self, n_points):
+        assert parse_config(f"n_points = {n_points}\n").n_points == n_points
+
+    @pytest.mark.parametrize("n_points", [-5, 0, 1, MAX_N_POINTS + 1])
+    def test_n_points_out_of_bounds_rejected(self, n_points):
+        with pytest.raises(ConfigError, match=f"n_points .*got {n_points}$"):
+            parse_config(f"n_points = {n_points}\n")
+
     def test_cat_coefficients_normalized(self):
         cfg = parse_config("c_plus=1.0\nc_minus=1.0\n")
         pc = cfg.protocol_config()
@@ -148,12 +204,65 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert all(k in err for k in keys), err
 
-    def test_frame_flag_equals_frame_key(self, tmp_path):
-        p = tmp_path / "lab.cfg"
-        p.write_text("frame = lab\n")
-        assert run_cli(tmp_path, "coeffs", "--frame", "lab") == \
-            run_cli(tmp_path, "coeffs", "--config", str(p))
-        assert run_cli(tmp_path, "coeffs", "--frame", "lab") != run_cli(tmp_path, "coeffs")
+    # sha256 of the CSV each command wrote when the key was set by its flag
+    # (--frame lab, --no-spectator-phase, --seed 3): the key alone keeps
+    # those bytes
+    @pytest.mark.parametrize("argv, text, digest", [
+        (["coeffs"], "frame = lab\n",
+         "00f14a57b03ea8dc0e1224de5da9dc25550f30949db8bb78137d723e3ae34a5d"),
+        (["fidelity"], "frame = lab\n",
+         "62087d7f8d629523802cccfa96f1824d2b951f53fc85b5f192cee7ca88a9015d"),
+        (["figure2"], "frame = lab\n",
+         "3434969ac4e2c7e4b6970eb383ca788bc9392ebadbaa87676a31b799c3203fac"),
+        (["fidelity"], "spectator_phase_on = false\n",
+         "517592c16b606be7f0e4d9c33646a2e7f0ea8da231d9b056f1bbdcb760e7359e"),
+        (["protocol"], "spectator_phase_on = false\n",
+         "3de31dfb1d3acae2398134eb852008cc13a29e4390a1712e84b32fe4db6738ac"),
+        (["protocol", "--trials", "500"], "seed = 3\n",
+         "f6a1f01f467641d504526fac1864118b50748a22b0f06e58ac56c19ec2544af3"),
+    ], ids=["coeffs_frame", "fidelity_frame", "figure2_frame", "fidelity_spectator_phase",
+            "protocol_spectator_phase", "protocol_seed"])
+    def test_run_keys_give_the_bytes_of_the_flags_they_replace(self, tmp_path, argv, text,
+                                                               digest):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        code, out = run_cli(tmp_path, *argv, "--config", str(p))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+        assert out != run_cli(tmp_path, *argv)[1]
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--frame", "lab"],
+                                      ["--no-spectator-phase"]], ids=["seed", "frame",
+                                                                      "no_spectator_phase"])
+    @pytest.mark.parametrize("command", ["coeffs", "protocol", "fidelity", "figure2",
+                                         "oracle-check"])
+    def test_run_parameter_flags_are_unrecognized(self, tmp_path, capsys, command, flag):
+        # seed, frame and spectator_phase_on are set in the config file only
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(tmp_path, command, *flag)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    # the nine command-key pairs whose flag changed no byte: the command does
+    # not read the key (protocol reads seed only to sample --trials runs)
+    @pytest.mark.parametrize("command, text", [
+        ("coeffs", "spectator_phase_on = false\n"),
+        ("coeffs", "seed = 3\n"),
+        ("protocol", "frame = lab\n"),
+        ("protocol", "seed = 3\n"),
+        ("fidelity", "seed = 3\n"),
+        ("figure2", "spectator_phase_on = false\n"),
+        ("figure2", "seed = 3\n"),
+        ("oracle-check", "frame = lab\n"),
+        ("oracle-check", "spectator_phase_on = false\n"),
+    ], ids=["coeffs_spectator_phase", "coeffs_seed", "protocol_frame", "protocol_seed",
+            "fidelity_seed", "figure2_spectator_phase", "figure2_seed", "oracle_check_frame",
+            "oracle_check_spectator_phase"])
+    def test_run_keys_a_command_does_not_read_leave_its_bytes(self, tmp_path, command, text):
+        p = tmp_path / "run.cfg"
+        p.write_text(text)
+        code, out = run_cli(tmp_path, command, "--config", str(p))
+        assert code == 0 and out == run_cli(tmp_path, command)[1]
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -204,7 +313,7 @@ class TestExitCodes:
         ("alpha_re = inf\n", ["oracle-check"], "out.csv", "alpha_re"),
         ("", ["protocol", "--trials", "-5"], "out.csv", "--trials"),
         ("seed = -1\n", ["protocol", "--trials", "10"], "out.csv", "seed"),
-        ("", ["protocol", "--trials", "10", "--seed", "-1"], "out.csv", "seed"),
+        ("seed = -1\n", ["protocol"], "out.csv", "seed"),
         ("alpha_re = 1e200\n", ["fidelity"], "out.csv", "alpha_re"),
         ("alpha_re = 1e3\n", ["protocol"], "out.csv", "alpha_re"),
         ("alpha_im = 1e50\n", ["coeffs"], "out.csv", "alpha_im"),
@@ -212,6 +321,8 @@ class TestExitCodes:
         ("beta_re = 20\n", ["protocol"], "out.csv", "beta_re"),
         ("delta_Hz = -1e7\n", ["fidelity"], "out.csv", "delta_Hz = -Delta_Hz"),
         ("", ["protocol", "--trials", "1000000000000000"], "out.csv", "--trials"),
+        ("n_points = 100000000000\n", ["coeffs"], "out.csv", "n_points"),
+        ("n_points = 1000001\n", ["fidelity"], "out.csv", "n_points"),
         ("delta_Hz = 1.7e308\n", ["fidelity"], "out.csv", "delta_Hz"),
         # finite keys whose angular frequency or rate is infinite
         ("Delta_Hz = 1e308\n", ["coeffs"], "out.csv", "Delta_Hz"),
@@ -224,9 +335,10 @@ class TestExitCodes:
         ("beta_re = 1e-9\n", ["protocol"], "out.csv", "beta_re, beta_im"),
         ("parity = 0\n", ["fidelity"], "out.csv", "set by parity"),
     ], ids=["out_dir_missing", "nan_damping", "inf_t_max", "inf_alpha",
-            "negative_trials", "negative_seed_key", "negative_seed_flag",
+            "negative_trials", "negative_seed_key", "negative_seed_key_without_trials",
             "huge_alpha", "large_alpha_protocol", "huge_alpha_im", "alpha_40_oracle",
             "large_beta", "detunings_cancel", "trials_beyond_memory",
+            "n_points_beyond_memory", "n_points_above_bound",
             "spectator_phase_overflow", "infinite_mode2_frequency",
             "infinite_damping_rate_coeffs", "infinite_damping_rate",
             "inverted_frequencies", "excess_cross_damping", "unreadable_beta",
@@ -301,6 +413,70 @@ class TestExitCodes:
             proc.stderr.close()
         assert (code, err) == (0, b"")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_at_out_exits_2_naming_it(self, capsys):
+        assert main(["figure2", "--out", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--out '/dev/full'" in err, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_at_stdout_exits_2_naming_it(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "catteleport", "figure2"], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, env=_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "stdout" in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("command", ["figure2", "protocol"])   # a table, list rows
+    @pytest.mark.parametrize("fail_at", ["header", "rows", "flush", "close"])
+    def test_write_error_at_out_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                  command, fail_at):
+        opened = []
+
+        def failing_open(path, *args, **kwargs):
+            opened.append(FailingStream(path, fail_at, OSError(errno.ENOSPC, "disk full")))
+            return opened[0]
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        path = str(tmp_path / "out.csv")
+        assert main([command, "--out", path]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: cannot write the CSV to --out {path!r}: disk full\n"
+        assert opened[0].closed
+
+    @pytest.mark.parametrize("command", ["figure2", "protocol"])
+    @pytest.mark.parametrize("fail_at", ["header", "rows", "flush"])
+    def test_write_error_at_stdout_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                     command, fail_at):
+        stdout = FailingStream(tmp_path / "stdout", fail_at, OSError(errno.EIO, "I/O error"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main([command]) == 2
+            # nothing more reaches stdout: the flush at exit writes to /dev/null
+            assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        finally:
+            stdout.release()
+        assert capsys.readouterr().err == \
+            "config error: cannot write the CSV to stdout: I/O error\n"
+
+    @pytest.mark.parametrize("command, ok", [("figure2", True), ("protocol", True),
+                                             ("protocol", False)])
+    @pytest.mark.parametrize("fail_at", ["header", "rows", "flush"])
+    def test_broken_stdout_pipe_ends_quietly_with_the_runs_code(self, tmp_path, monkeypatch,
+                                                               capsys, command, ok, fail_at):
+        if not ok:
+            header, rows, _ = cli.cmd_protocol(default_config(), build_parser().parse_args(
+                ["protocol"]))
+            monkeypatch.setattr(cli, "cmd_protocol", lambda cfg, args: (header, rows, False))
+        stdout = FailingStream(tmp_path / "stdout", fail_at, BrokenPipeError(errno.EPIPE, "pipe"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main([command]) == (0 if ok else 3)
+            assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+        finally:
+            stdout.release()
+        assert capsys.readouterr().err == ""
+
     def test_ok_exit_zero(self, tmp_path):
         code, _ = run_cli(tmp_path, "protocol")
         assert code == 0
@@ -314,6 +490,32 @@ class TestExitCodes:
         assert run_cli(tmp_path, "coeffs") == (0, "t\n0.5\n")
         info = build_parser.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def parser_options():
+    """The long options of each subcommand of ``build_parser()``, and those
+    of the top-level parser, without --help."""
+    def options(parser):
+        return {o for action in parser._actions for o in action.option_strings
+                if o.startswith("--") and o != "--help"}
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: options(p) for name, p in sub.choices.items()}, options(parser)
+
+
+def test_readme_cli_synopsis_lists_each_subcommands_options():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    listed = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+              for line in block.splitlines()}
+    commands, top = parser_options()
+    assert listed == commands
+    assert set().union(top, *commands.values()) == {
+        "--config", "--out", "--trials", "--oracle", "--version"}
 
 
 def test_csv_writer_formats_each_value_by_its_type():
@@ -529,9 +731,9 @@ class TestCoeffsCommand:
         # a name imported into the cli module would bypass the dynamics doubles
         assert not hasattr(cli, "u_full") and not hasattr(cli, "to_rotating_frame")
         p = tmp_path / "cross.cfg"
-        p.write_text("gamma12 = 500\ngamma21 = 500\nn_points = 2000\n")
         for frame in ("rotating", "lab"):
-            code, text = run_cli(tmp_path, "coeffs", "--config", str(p), "--frame", frame)
+            p.write_text(f"gamma12 = 500\ngamma21 = 500\nn_points = 2000\nframe = {frame}\n")
+            code, text = run_cli(tmp_path, "coeffs", "--config", str(p))
             assert code == 0 and len(read_rows(text)) == 2000
         assert calls == []
 
@@ -585,7 +787,9 @@ class TestProtocolCommand:
             1.0, abs=1e-12)
 
     def test_corrected_fidelity_perfect_for_flip_branch(self, tmp_path):
-        _, text = run_cli(tmp_path, "protocol", "--no-spectator-phase")
+        p = tmp_path / "run.cfg"
+        p.write_text("spectator_phase_on = false\n")
+        _, text = run_cli(tmp_path, "protocol", "--config", str(p))
         rows = read_rows(text)
         flip = next(r for r in rows
                     if r["classification"] == "success_after_correction")
@@ -598,8 +802,10 @@ class TestProtocolCommand:
         assert total == 2000
 
     def test_sampling_reproducible_with_seed(self, tmp_path):
-        _, a = run_cli(tmp_path, "protocol", "--trials", "500", "--seed", "3")
-        _, b = run_cli(tmp_path, "protocol", "--trials", "500", "--seed", "3")
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 3\n")
+        _, a = run_cli(tmp_path, "protocol", "--trials", "500", "--config", str(p))
+        _, b = run_cli(tmp_path, "protocol", "--trials", "500", "--config", str(p))
         assert a == b
 
 
@@ -628,7 +834,9 @@ class TestFigure2Command:
 
 class TestFidelityCommand:
     def test_plain_curve(self, tmp_path):
-        code, text = run_cli(tmp_path, "fidelity", "--no-spectator-phase")
+        p = tmp_path / "run.cfg"
+        p.write_text("spectator_phase_on = false\n")
+        code, text = run_cli(tmp_path, "fidelity", "--config", str(p))
         assert code == 0
         rows = read_rows(text)
         assert float(rows[0]["F_analytic"]) == pytest.approx(1.0, abs=1e-12)

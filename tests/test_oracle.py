@@ -166,6 +166,15 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def rhs_of(plan, rho):
+    """The master equation's right-hand side at the D x D ``rho``: every
+    fill of ``plan(1)`` in turn, into a buffer that each fill overwrites."""
+    out = np.full_like(rho, np.nan)
+    for _, fill in plan(1):
+        fill(rho, out)
+    return out
+
+
 def cat_density(dims):
     """An even cat per mode: every odd-level amplitude is an exact zero."""
     psi = np.ones(1)
@@ -386,7 +395,7 @@ class TestLindbladEvolution:
             e = 2.0 * math.pi * 1.0e7 * np.tile(np.arange(dims[1]), dims[0])
         spec = LindbladSpec(np.diag(e).astype(complex), np.array(gamma), dims)
         ref = dense_rhs(spec, rho)
-        out = _rhs_builder(spec)(rho)
+        out = rhs_of(_rhs_builder(spec), rho)
         if energies is None:   # no Hamiltonian: the same roundings as the dense form
             assert np.array_equal(out, ref)
         else:
@@ -446,17 +455,17 @@ class TestLindbladEvolution:
                          np.array([[1.0, 3.0], [3.0, 1.0]]), (2, 2))
 
 
-class TestRowBlockKernels:
+class RowBlockKernels:
     """The row-block RHS and the preallocated RK4 loop against the kernels
-    they replaced, bit for bit, at this host's worker count; the subclasses
-    below pin it to the caller alone and to the caller with the helper."""
+    they replaced, bit for bit, at the worker count ``workers``: the
+    subclasses below pin it to the caller alone and to the caller with the
+    helper, which covers every host's count."""
 
-    workers = None
+    workers: int
 
     @pytest.fixture(autouse=True)
     def pin_workers(self, monkeypatch):
-        if self.workers is not None:
-            monkeypatch.setattr(oracle, "_WORKERS", self.workers)
+        monkeypatch.setattr(oracle, "_WORKERS", self.workers)
 
     @pytest.mark.parametrize("dims, gamma", [
         ((25,), [[GAMMA]]),
@@ -475,13 +484,15 @@ class TestRowBlockKernels:
             monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", rows * dim)
         e = np.random.default_rng(5).normal(scale=1.0e4, size=dim) if hamiltonian else np.zeros(dim)
         spec = LindbladSpec(np.diag(e).astype(complex), np.array(gamma), dims)
-        rhs, ref = _rhs_builder(spec), reference_rhs_builder(spec)
+        plan, ref = _rhs_builder(spec), reference_rhs_builder(spec)
         blocks = -(-dim // min(dim, oracle._BLOCK_ENTRIES // dim))
-        assert len(rhs.parts) == min(oracle._WORKERS, blocks)
+        assert len(plan(1)) == min(oracle._WORKERS, blocks)
         for rho in (random_hermitian(dim), cat_density(dims)):
-            assert same_bits(rhs(rho), ref(rho))
-            out = np.full((dim, dim), np.nan, dtype=complex)   # a reused buffer is overwritten
-            assert rhs(rho, out) is out and same_bits(out, ref(rho))
+            assert same_bits(rhs_of(plan, rho), ref(rho))
+            doubled = np.full((dim, dim), np.nan, dtype=complex)
+            for _, fill in plan(1):
+                fill(rho, doubled, True)
+            assert same_bits(doubled, 2.0 * ref(rho))
 
     @pytest.mark.parametrize("dims, gamma, hamiltonian", [
         ((25,), [[GAMMA]], False),
@@ -495,7 +506,7 @@ class TestRowBlockKernels:
         e = 2.0 * math.pi * 1.0e4 * np.arange(dim) if hamiltonian else np.zeros(dim)
         spec = LindbladSpec(np.diag(e).astype(complex), np.array(gamma), dims)
         rho = cat_density(dims)
-        out = _integrate(rho, _rhs_builder(spec), 3.0e-4, n_steps)
+        out = _integrate([rho], _rhs_builder(spec), [3.0e-4], [n_steps])
         assert same_bits(out, reference_integrate(rho, reference_rhs_builder(spec), 3.0e-4, n_steps))
 
     @pytest.mark.parametrize("dims, gamma, hamiltonian", [
@@ -542,12 +553,12 @@ class TestRowBlockKernels:
         # an odd count, a tie of even counts and one step: every parity of
         # drop-out
         n_steps, times = [7, 4, 4, 1], [3.5e-4, 2.0e-4, 1.0e-4, 5.0e-5]
-        rhs = _rhs_builder(spec, len(states))
-        assert len(rhs.parts) == (1 if block_members is None else oracle._WORKERS)
-        out = _integrate(np.concatenate(states), rhs, times, n_steps).reshape(-1, dim, dim)
+        plan = _rhs_builder(spec, len(states))
+        assert len(plan(len(states))) == (1 if block_members is None else oracle._WORKERS)
+        out = _integrate(states, plan, times, n_steps).reshape(-1, dim, dim)
         assert self.members_equal_reference(spec, states, times, n_steps, out)
         with pytest.raises(ValueError, match="not in order"):
-            _integrate(np.concatenate(states), rhs, times, n_steps[::-1])
+            _integrate(states, plan, times, n_steps[::-1])
 
     def test_two_mode_stack_with_hamiltonian_bits_equal_reference(self):
         dims, dim = (8, 11), 88   # one member per block on one CPU: three blocks
@@ -555,7 +566,7 @@ class TestRowBlockKernels:
         spec = LindbladSpec(np.diag(e).astype(complex), np.array(CROSS), dims)
         states = [cat_density(dims), random_hermitian(dim) / dim, cat_density(dims)[::-1, ::-1].copy()]
         n_steps, times = [5, 2, 1], [3.0e-4, 1.0e-4, 4.0e-5]
-        out = _integrate(np.concatenate(states), _rhs_builder(spec, 3), times, n_steps)
+        out = _integrate(states, _rhs_builder(spec, 3), times, n_steps)
         assert self.members_equal_reference(spec, states, times, n_steps, out.reshape(-1, dim, dim))
 
     @pytest.mark.parametrize("budget_members", [1, 2, 3])
@@ -649,28 +660,30 @@ class TestRowBlockKernels:
         spec = LindbladSpec(np.zeros((dim, dim), dtype=complex), np.array(CROSS), dims)
         rho = cat_density(dims)
 
-        def peak(integrate, rhs, n_steps):
+        def peak(integrate):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                integrate(rho, rhs, 3.0e-4, n_steps)
+                integrate()
                 return (tracemalloc.get_traced_memory()[1] - base) / matrix
             finally:
                 tracemalloc.stop()
 
-        rhs = _rhs_builder(spec)
-        one, nine = peak(_integrate, rhs, 1), peak(_integrate, rhs, 9)
+        plan, ref = _rhs_builder(spec), reference_rhs_builder(spec)
+        plan(1)   # built on first use, once per builder, not per step
+        one = peak(lambda: _integrate([rho], plan, [3.0e-4], [1]))
+        nine = peak(lambda: _integrate([rho], plan, [3.0e-4], [9]))
         # a broadcast product may take numpy's 8192-entry ufunc buffer: 0.125
         # of a 256 x 256 matrix
         assert 4.0 <= one < 4.25 and abs(nine - one) < 0.01, (one, nine)
-        assert peak(reference_integrate, reference_rhs_builder(spec), 9) >= 6.0
+        assert peak(lambda: reference_integrate(rho, ref, 3.0e-4, 9)) >= 6.0
 
 
-class TestRowBlockKernelsOnOneWorker(TestRowBlockKernels):
+class TestRowBlockKernelsOnOneWorker(RowBlockKernels):
     workers = 1
 
 
-class TestRowBlockKernelsOnTwoWorkers(TestRowBlockKernels):
+class TestRowBlockKernelsOnTwoWorkers(RowBlockKernels):
     workers = 2
 
 
@@ -718,7 +731,7 @@ class TestHelperThread:
         assert threading.main_thread() in where and len(set(where)) == 2
         assert threading.active_count() == before
         rho, spec = self.cross_16x16()
-        out = _integrate(rho.entries, _rhs_builder(spec), 3.0e-4, 3)
+        out = _integrate([rho.entries], _rhs_builder(spec), [3.0e-4], [3])
         ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 3.0e-4, 3)
         assert same_bits(out, ref) and threading.active_count() == before
 
@@ -875,7 +888,7 @@ class TestHelperThread:
                                        np.array({CROSS!r}), (16, 16))
             rho = np.load({str(tmp_path / "rho.npy")!r})
             np.save({str(tmp_path / "out.npy")!r},
-                    oracle._integrate(rho, oracle._rhs_builder(spec), 3.0e-4, 3))
+                    oracle._integrate([rho], oracle._rhs_builder(spec), [3.0e-4], [3]))
             print(oracle._WORKERS, threading.active_count())
         """)
         ref = reference_integrate(rho.entries, reference_rhs_builder(spec), 3.0e-4, 3)
