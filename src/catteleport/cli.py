@@ -265,6 +265,8 @@ def main(argv=None) -> int:
             out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
         except OSError as exc:
             raise ConfigError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
+        if out is None:   # Python sets sys.stdout to None when it starts with fd 1 closed
+            raise ConfigError("cannot write the CSV to stdout: it is closed")
         try:
             # looked up now, so that a replaced module attribute (a test
             # double, a tracing wrapper) is the one that runs

@@ -161,10 +161,14 @@ _CMATH_LARGE = math.log(np.finfo(float).max / 4.0)
 def _cmul(a, b) -> np.ndarray:
     """a * b rounded as CPython rounds it; numpy's complex product may fuse a
     multiply-add.  A float or int factor x stands for complex(x, 0.0), as
-    CPython 3.11 promotes it."""
+    CPython 3.11 promotes it.  The four real products go straight into the
+    result's real and imaginary parts, with one scratch array, in CPython's
+    order: re = ar br - ai bi, im = ar bi + ai br."""
     z = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    z.real = a.real * b.real - a.imag * b.imag
-    z.imag = a.real * b.imag + a.imag * b.real
+    re, im = z.real, z.imag
+    t = np.multiply(a.imag, b.imag)
+    np.subtract(np.multiply(a.real, b.real, out=re), t, out=re)
+    np.add(np.multiply(a.real, b.imag, out=im), np.multiply(a.imag, b.real, out=t), out=im)
     return z
 
 

@@ -11,7 +11,11 @@ value is written by the template, as is every NaN, infinity and value outside
 that range (their split products could overflow or underflow).  This is
 Loitsch's Grisu3 pattern: fast digits that are proven exact, or the exact path.
 The digits are then laid out by the %g rules (fixed notation for exponents -4
-to 16, trailing zeros and a bare point dropped) from byte tables.
+to 16, trailing zeros and a bare point dropped) from byte tables: the 16 digits
+after the first are cut into four 4-digit groups by divisions by scalars
+(10**8, then 10**4), and each group is one lookup in a table of spelled groups,
+whose second half blanks trailing zeros for a group that only zero groups
+follow.
 """
 
 from __future__ import annotations
@@ -136,14 +140,17 @@ def _block_bytes(block: np.ndarray) -> bytes:
     # %g: fixed notation for -4 <= X < 17, else d.ddde+XX
     fixed = (X >= -4) & (X < 17)
     small = fixed & (X < 0)
-    g = rest[:, None] // 10 ** np.arange(12, -1, -4) % 10000
-    zeros = g == 0
-    g[:, :3] += 10000 * np.logical_and.accumulate(zeros[:, :0:-1], axis=1)[:, ::-1]
-    g[:, 3] += 10000
+    # four 4-digit groups; the last group, and each group that only zero
+    # groups follow, are spelled with their trailing zeros blanked
+    hi, lo = np.divmod(rest, 10 ** 8)
+    g = np.divmod(hi, 10000) + np.divmod(lo, 10000)
+    lo_zero = lo == 0
+    blank = (lo_zero & (g[1] == 0), lo_zero, g[3] == 0, True)
     head, groups, tail = _lookups()
     words = np.empty((n, 4), np.uint64)
     words[:, 0] = head[np.signbit(v) * 100 + small * -X * 20 + d0 * 2 + (~small & (rest != 0))]
-    words[:, 1:3] = groups[g].view(np.uint64)
+    for w, gk, bk in zip(words[:, 1:3].view(np.uint32).T, g, blank):
+        w[...] = groups[gk + 10000 * bk]
     words[:, 3] = tail[np.where(fixed, 0, (X < 0) * 400 + np.abs(X))]
     s = words.view(np.uint8)
     s[block.shape[1] - 1::block.shape[1], _SEP] = ord("\n")
@@ -153,7 +160,8 @@ def _block_bytes(block: np.ndarray) -> bytes:
     j = np.flatnonzero(fixed & (X > 0))
     if j.size:
         c = np.concatenate([d0[j, None] + ord("0"),
-                            groups[g[j] % 10000].view(np.uint8).reshape(-1, 16)], axis=1)
+                            groups[np.stack([gk[j] for gk in g], axis=1)].view(np.uint8)
+                            .reshape(-1, 16)], axis=1)
         x = X[j, None]
         nz = c != ord("0")
         keep = np.maximum(17 - nz[:, ::-1].argmax(axis=1)[:, None], x + 1)

@@ -3,11 +3,13 @@ import csv
 import errno
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +415,15 @@ class TestExitCodes:
             proc.stderr.close()
         assert (code, err) == (0, b"")
 
+    @pytest.mark.parametrize("command", ["figure2", "protocol"])   # a table, list rows
+    def test_closed_stdout_exits_2_naming_it(self, command):
+        # `>&-`: the child starts with fd 1 closed, so its sys.stdout is None
+        proc = subprocess.run(["sh", "-c", '"$0" -m catteleport "$1" >&-', sys.executable,
+                               command], stderr=subprocess.PIPE, text=True, env=_env(),
+                              timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: cannot write the CSV to stdout: it is closed\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_at_out_exits_2_naming_it(self, capsys):
         assert main(["figure2", "--out", "/dev/full"]) == 2
@@ -575,6 +586,42 @@ class TestFloatTableWriter:
     @pytest.mark.parametrize("name", list(_kernel_cases()))
     def test_fixed_values(self, name):
         assert_table_bytes_equal_the_template(_kernel_cases()[name][:, None])
+
+    def test_every_pattern_of_zero_digit_groups(self):
+        # 17 significant digits d.gggg gggg gggg gggg: a group that only zero
+        # groups follow is written with its trailing zeros dropped.  Each of
+        # the 16 zero/non-zero patterns of the four groups, in fixed notation
+        # (exponent -4 to 0) and in exponent notation, with both signs, also
+        # where rounding the 18th digit up carries across a group boundary:
+        # the double next to a decimal with zero groups, or the doubles below
+        # 1e-14 and 1e+98, which round up to the power of ten itself.
+        values, seen = [], set()
+        for pattern in itertools.product((0, 1), repeat=4):
+            for lead, group in itertools.product((1, 7), (1, 1000, 1234, 5000, 9999)):
+                digits = "".join(f"{group * bit:04d}" for bit in pattern)
+                for exp in (-4, -1, 0, -30, 21):
+                    x = float(f"{lead}.{digits}e{exp}")
+                    values += [s * y for s in (1.0, -1.0)
+                               for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+        values += [1e-14, -1e-14, 1e98, -1e98]
+        for v in values:
+            # exact: the first 17 digits of |v| end in 9999 and the rest round them up
+            num, den = abs(v).as_integer_ratio()
+            shift = 16 - Decimal(v).adjusted()
+            head, rest = divmod(num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
+            carry = 2 * rest > den * 10 ** max(-shift, 0) and head % 10000 == 9999
+            mantissa = "%.16e" % abs(v)
+            groups = tuple(mantissa[k:k + 4] != "0000" for k in (2, 6, 10, 14))
+            seen.add((groups, -4 <= int(mantissa[19:]) < 17, v < 0.0, carry))
+        for fixed in (True, False):
+            for negative in (False, True):
+                assert {(g, fixed, negative) for g, f, n, _ in seen
+                        if (f, n) == (fixed, negative)} >= {
+                    (g, fixed, negative) for g in itertools.product((False, True), repeat=4)}
+                assert (fixed, negative, True) in {(f, n, c) for _, f, n, c in seen}
+        table = np.array(values)[:, None]
+        assert [b"%.17g" % v for v in values] == \
+            [line.encode() for line in written(table).splitlines()[1:]]
 
     @pytest.mark.parametrize("cols", [1, 2, 5, 18])
     def test_row_counts_around_one_block(self, cols):

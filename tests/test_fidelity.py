@@ -240,11 +240,23 @@ def test_complex_product_rounds_as_python(rng):
     ar, ai, br, bi = (rng.choice(pool, 20_000).tolist() for _ in range(4))
     a = np.array([complex(x, y) for x, y in zip(ar, ai)])
     b = np.array([complex(x, y) for x, y in zip(br, bi)])
-    expected = [x * y for x, y in zip(a.tolist(), b.tolist())]
-    assert (bits(_cmul(a, b)) == bits(np.array(expected))).all()
+
+    def check(x, y, expected):
+        z = _cmul(x, y)
+        assert (bits(z) == bits(np.array(expected))).all()
+        # a fresh array, which shares no memory with either factor
+        assert not any(np.shares_memory(z, f) for f in (x, y) if isinstance(f, np.ndarray))
+
+    check(a, b, [x * y for x, y in zip(a.tolist(), b.tolist())])
     # a float or int factor counts as complex(x, 0.0), as CPython 3.11 promotes it
-    expected = [x * y for x, y in zip(ar, b.tolist())]
-    assert (bits(_cmul(np.array(ar), b)) == bits(np.array(expected))).all()
+    check(np.array(ar), b, [x * y for x, y in zip(ar, b.tolist())])
     for x in (ar[0], -0.0, 0.0, 1, -1):
-        expected = [x * y for y in b.tolist()]
-        assert (bits(_cmul(x, b)) == bits(np.array(expected))).all()
+        check(x, b, [x * y for y in b.tolist()])
+        check(b, x, [y * x for y in b.tolist()])
+    # complex array x Python complex, and float array x complex as in _curve_values
+    for c in (a[0].item(), complex(0.0, -0.0), complex(-0.0, 1.0), 3e30 - 1e-30j):
+        check(b, c, [y * c for y in b.tolist()])
+        check(np.array(ar), c, [x * c for x in ar])
+    # 2-D x 1-D, as coefficient_grid's frame step: every row times the same phases
+    rows = np.stack([a, b, a[::-1]])
+    check(rows, b, [[x * y for x, y in zip(row, b.tolist())] for row in rows.tolist()])
