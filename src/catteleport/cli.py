@@ -260,9 +260,9 @@ def _write_csv(out, header, rows) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else default_config()
+        cfg = load_config(args.config) if args.config is not None else default_config()
         try:
-            out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+            out = open(args.out, "w", encoding="utf-8", newline="") if args.out is not None else sys.stdout
         except OSError as exc:
             raise ConfigError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
         if out is None:   # Python sets sys.stdout to None when it starts with fd 1 closed
@@ -283,7 +283,7 @@ def main(argv=None) -> int:
                     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 # a reader that closed stdout early (`| head`) ends the run quietly
                 if not isinstance(exc, BrokenPipeError):
-                    where = f"--out {args.out!r}" if args.out else "stdout"
+                    where = f"--out {args.out!r}" if args.out is not None else "stdout"
                     raise ConfigError(f"cannot write the CSV to {where}: {exc.strerror}") from None
         finally:
             if out is not sys.stdout:

@@ -9,6 +9,7 @@ a diagonal phase conjugation.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -124,53 +125,34 @@ _BLOCK_ENTRIES = 8192 * _WORKERS
 _STACK_ENTRIES = 8192
 
 
-_DONE = object()
-
-
 def _lockstep(shares) -> None:
-    """Run one generator per worker, phase by phase: a phase is the code up
-    to the next ``yield`` or the end, and no share starts a phase before the
-    other has finished the one before.  Two shares run at once, the second
-    on a thread of this call's own, which has ended when this returns or
-    raises: an error in either share reaches the caller once both have
-    finished the phase."""
+    """Call each share, a function of one argument ``sync``, on a worker of
+    its own.  A share calls ``sync()`` between phases, and no share starts a
+    phase before the other has finished the one before.  One share runs
+    inline and its ``sync`` does nothing.  Of two, the second runs on a
+    thread of this call's own, which has ended when this returns or raises,
+    and ``sync`` is a barrier's wait.  A share that raises breaks the
+    barrier, so the other stops at its next ``sync``, and its error reaches
+    the caller.  Only an error breaks it: a share still waking from the last
+    barrier would read a break as an error and skip its last phase."""
     if len(shares) == 1:
-        for _ in shares[0]:
-            pass
+        shares[0](lambda: None)
         return
-    mine, theirs = shares
-    go, done = threading.Lock(), threading.Lock()
-    go.acquire()
-    done.acquire()
-    stop, errors = False, []
+    barrier, errors = threading.Barrier(2), []
 
-    def serve():
+    def run(share):
         try:
-            while go.acquire() and not stop:
-                next(theirs, None)
-                done.release()
+            share(barrier.wait)
         except BaseException as exc:
             errors.append(exc)
-            done.release()
+            barrier.abort()
 
-    thread = threading.Thread(target=serve, name="catteleport-oracle", daemon=True)
+    thread = threading.Thread(target=run, args=(shares[1],), name="catteleport-oracle", daemon=True)
     thread.start()
-    try:
-        while True:
-            go.release()
-            try:
-                result = next(mine, _DONE)
-            finally:
-                done.acquire()
-            if errors:
-                raise errors[0]
-            if result is _DONE:
-                return
-    finally:
-        stop = True
-        if go.locked():   # held by the thread, and released only here
-            go.release()
-        thread.join()
+    run(shares[0])
+    thread.join()
+    if errors:   # the share's own error, not the break it caused in the other
+        raise min(errors, key=lambda exc: isinstance(exc, threading.BrokenBarrierError))
 
 
 def _rhs_builder(spec: LindbladSpec, members: int = 1):
@@ -393,7 +375,7 @@ def _integrate(rho, plan, t, n_steps) -> np.ndarray:
     states = (state, np.empty_like(state))
     acc, x = np.empty_like(state), np.empty_like(state)
 
-    def steps(rows, fill, first, last):
+    def steps(rows, fill, first, last, sync):
         """Steps ``first`` to ``last`` - 1 of the members in ``rows``."""
         # whole members m0 to m1 - 1, or rows p0 to p1 - 1 of member m0
         m0, p0 = divmod(rows.start, dim)
@@ -415,29 +397,29 @@ def _integrate(rho, plan, t, n_steps) -> np.ndarray:
         i = first % 2   # states[i] holds the state
         for step in range(first, last):
             if step > first:
-                yield
+                sync()
             r, k, rr, kk = states[i], states[1 - i], mine[i], mine[1 - i]
             fill(r, acc)                          # acc = k1
             np.multiply(h, aa, out=xx)
             np.add(rr, xx, out=xx)
-            yield
+            sync()
             fill(x, k, True)                      # k = 2 k2
-            yield
+            sync()
             np.multiply(q, kk, out=xx)
             np.add(rr, xx, out=xx)
             np.add(aa, kk, out=aa)                # acc = k1 + 2 k2
-            yield
+            sync()
             fill(x, k, True)                      # k = 2 k3
-            yield
+            sync()
             np.multiply(h, kk, out=xx)
             np.add(rr, xx, out=xx)
             np.add(aa, kk, out=aa)                # acc = k1 + 2 k2 + 2 k3
-            yield
+            sync()
             fill(x, k)                            # k = k4
             np.add(aa, kk, out=aa)
             np.multiply(s, aa, out=aa)
             np.add(rr, aa, out=rr)
-            yield
+            sync()
             flip_into[1 - i][...] = flipped[i]    # enforce Hermiticity each step
             np.conjugate(kk, out=kk)
             np.add(rr, kk, out=kk)
@@ -448,7 +430,8 @@ def _integrate(rho, plan, t, n_steps) -> np.ndarray:
     for running in range(members, 0, -1):
         last = n_steps[running - 1]
         if last > done:
-            _lockstep([steps(rows, fill, done, last) for rows, fill in plan(running)])
+            _lockstep([functools.partial(steps, rows, fill, done, last)
+                       for rows, fill in plan(running)])
             done = last
     out = states[done % 2]
     for i, n in enumerate(n_steps):

@@ -132,14 +132,19 @@ def state_overlap(bra: TermState, ket: TermState) -> complex:
     return total
 
 
+def _gram_noise(state: TermState) -> float:
+    """K eps (sum |w_i|)^2: the Gram sum of K terms, K^2 products of at most
+    |w_i| |w_j| each, keeps rounding noise of about this size when its terms
+    nearly cancel, however small the sum itself."""
+    return len(state.terms) * math.ulp(1.0) * sum(abs(t.weight) for t in state.terms) ** 2
+
+
 def term_norm(state: TermState) -> float:
     """Physical norm of ``state`` via the Gram matrix of its coherent labels."""
     n2 = state_overlap(state, state)
     residue = abs(n2.imag)
-    # a Gram sum of nearly cancelling terms keeps rounding noise of about
-    # K eps (sum |w_i|)^2 in its imaginary part, however small its real part
-    if residue > IMAG_RESIDUE_TOL * max(1.0, abs(n2.real)) and residue > (
-            len(state.terms) * math.ulp(1.0) * sum(abs(t.weight) for t in state.terms) ** 2):
+    # an imaginary part within that noise is rounding, not an error
+    if residue > IMAG_RESIDUE_TOL * max(1.0, abs(n2.real)) and residue > _gram_noise(state):
         raise ConsistencyError(f"norm^2 has imaginary residue {n2.imag!r}")
     return math.sqrt(max(n2.real, 0.0))
 
@@ -193,10 +198,7 @@ def project_atom(state: TermState, outcome: AtomLevel) -> tuple[TermState, float
     if not sub.terms:
         raise NullState(f"no amplitude on atom outcome {outcome.value!r}")
     n = term_norm(sub)
-    # n^2 sums K^2 Gram products of at most |w_i| |w_j| each: below about K
-    # eps (sum |w_i|)^2 it is rounding noise of nearly cancelling terms
-    noise = len(sub.terms) * math.ulp(1.0) * sum(abs(t.weight) for t in sub.terms) ** 2
-    if n < NULL_NORM_TOL or n * n <= noise:
+    if n < NULL_NORM_TOL or n * n <= _gram_noise(sub):   # n^2 is rounding noise
         raise NullState(f"branch {outcome.value!r} has zero norm")
     return scale_state(sub, 1.0 / n), n * n
 

@@ -286,6 +286,21 @@ class TestExitCodes:
                           str(tmp_path / "absent.cfg"))
         assert code == 2
 
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes(b"alpha_re = 1.5  # \xff\n")
+        code, out = run_cli(tmp_path, "coeffs", "--config", str(p))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert f"cannot read config {str(p)!r}" in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("option, name", [("--config", "config ''"), ("--out", "--out ''")])
+    def test_empty_path_exits_2_naming_the_option(self, capsys, option, name):
+        code = main(["coeffs", option, ""])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert name in captured.err and "Traceback" not in captured.err, captured.err
+
     def test_truncation_breach_exits_4(self, tmp_path, monkeypatch):
         from catteleport import cli
         from catteleport.errors import TruncationBreach
@@ -681,6 +696,25 @@ class TestFloatTableWriter:
         # the double is the one the writer calls
         assert written(np.array([[math.nan]])) == "h\nnan\n" and len(calls) == 1
 
+    def test_vector_path_holds_1e_280_to_10(self, monkeypatch):
+        # every value in [1e-280, 10) and +-0 is written without the
+        # template; every value of 10 or more takes one template call
+        from catteleport import floatcsv
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return b"%.17g" % v
+
+        monkeypatch.setattr(floatcsv, "_template", counting)
+        below = [math.nextafter(10.0, 0.0), -math.nextafter(10.0, 0.0), 9.5, 1e-5, 1e-280,
+                 -1e-280, 0.0, -0.0, 1.0, 0.1, 2.5e-7, 1e-100]
+        above = [10.0, 12.5, 1e16, -3e5, math.nextafter(10.0, math.inf), -10.0, 1e280]
+        table = np.array(below + above)[:, None]
+        assert written(table).splitlines()[1:] == [
+            line.decode() for line in (b"%.17g" % v for v in below + above)]
+        assert calls == above
+
     def test_peak_memory_does_not_grow_with_rows(self):
         import tracemalloc
 
@@ -694,7 +728,7 @@ class TestFloatTableWriter:
         peaks = []
         for rows in (2 * BLOCK // 18, 20_000):
             table = rng.random((rows, 18))
-            _write_csv(Sink(), ["h"], table[:1])   # tables built on first use
+            _write_csv(Sink(), ["h"], table[:1])   # the module and its tables load on first use
             tracemalloc.start()
             try:
                 _write_csv(Sink(), ["h"], table)

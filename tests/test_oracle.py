@@ -719,11 +719,13 @@ class TestHelperThread:
         where = []
 
         def share(fail):
-            yield
-            where.append(threading.current_thread())
-            if fail:
-                raise KeyError("second phase")
-            yield
+            def run(sync):
+                sync()
+                where.append(threading.current_thread())
+                if fail:
+                    raise KeyError("second phase")
+                sync()
+            return run
 
         before = threading.active_count()
         with pytest.raises(KeyError, match="second phase"):
@@ -736,21 +738,43 @@ class TestHelperThread:
         assert same_bits(out, ref) and threading.active_count() == before
 
     def test_interrupt_in_callers_phase_waits_for_the_other_share(self):
-        finished = []
+        # the interrupt comes once the other share is inside its phase: one
+        # still waking from the barrier may stop there instead
+        finished, inside = [], threading.Event()
 
         def share(interrupt):
-            yield
-            if interrupt:
-                raise KeyboardInterrupt
-            time.sleep(0.05)   # still running when the caller's phase ends
-            finished.append(threading.current_thread())
-            yield
+            def run(sync):
+                sync()
+                if interrupt:
+                    assert inside.wait(10)
+                    raise KeyboardInterrupt
+                inside.set()
+                time.sleep(0.05)   # still running when the caller's phase ends
+                finished.append(threading.current_thread())
+                sync()
+            return run
 
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             oracle._lockstep([share(True), share(False)])
         assert len(finished) == 1 and finished[0] is not threading.main_thread()
         assert threading.active_count() == before
+
+    def test_every_share_runs_its_last_phase(self):
+        # the caller's last phase is empty, so it returns while the thread
+        # may still be waking from the last barrier
+        ran = []
+
+        def share(mine):
+            def run(sync):
+                sync()
+                if not mine:
+                    ran.append(threading.current_thread())
+            return run
+
+        for _ in range(200):
+            oracle._lockstep([share(True), share(False)])
+        assert len(ran) == 200 and threading.main_thread() not in ran
 
     def test_no_thread_outlives_an_integration(self, monkeypatch):
         started = []
@@ -774,12 +798,14 @@ class TestHelperThread:
         held = []
 
         def share(fail):
-            buffer = np.empty(4)
-            held.append(weakref.ref(buffer))
-            yield
-            if fail:
-                raise KeyError("caller's phase")
-            yield
+            def run(sync):
+                buffer = np.empty(4)
+                held.append(weakref.ref(buffer))
+                sync()
+                if fail:
+                    raise KeyError("caller's phase")
+                sync()
+            return run
 
         with pytest.raises(KeyError):
             oracle._lockstep([share(True), share(False)])
